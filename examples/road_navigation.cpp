@@ -1,7 +1,8 @@
 /**
  * @file
  * Road-network navigation: point-to-point A* over a large sparse road
- * grid, comparing every threaded CPS design on the same query.
+ * grid, comparing every registered threaded CPS design on the same
+ * query.
  *
  * This is the workload class the paper's USA-road experiments target:
  * huge diameter, tiny degree, priorities (f = g + h) that drift apart
@@ -15,11 +16,7 @@
 #include <memory>
 
 #include "algos/relaxation.h"
-#include "core/hdcps.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/designs.h"
 #include "graph/generators.h"
 #include "runtime/executor.h"
 #include "stats/table.h"
@@ -32,42 +29,23 @@ main()
     Graph graph = makeRoadGrid(96, 96, {.seed = 7});
     const unsigned threads = 4;
 
-    struct DesignRow
-    {
-        const char *label;
-        std::unique_ptr<Scheduler> scheduler;
-    };
-    std::vector<DesignRow> designs;
-    designs.push_back({"reld", std::make_unique<ReldScheduler>(threads)});
-    designs.push_back({"obim", std::make_unique<ObimScheduler>(threads)});
-    designs.push_back({"pmod", std::make_unique<PmodScheduler>(threads)});
-    {
-        SwMinnowScheduler::MinnowConfig config;
-        config.numMinnows = 1;
-        designs.push_back(
-            {"swminnow",
-             std::make_unique<SwMinnowScheduler>(threads, config)});
-    }
-    designs.push_back(
-        {"hdcps-sw", std::make_unique<HdCpsScheduler>(
-                         threads, HdCpsScheduler::configSw())});
-
     Table table({"design", "wall-ms", "tasks", "drift", "goal-cost"});
-    for (DesignRow &row : designs) {
+    for (const DesignEntry &design : threadedDesigns()) {
+        auto scheduler = design.make(threads, DesignParams{});
         AstarWorkload workload(graph, /*source=*/0);
         RunOptions options;
         options.numThreads = threads;
         options.driftSampleInterval = 500;
         RunResult result =
-            run(*row.scheduler, workload.initialTasks(),
+            run(*scheduler, workload.initialTasks(),
                 workloadProcessFn(workload), options);
         std::string why;
         if (!workload.verify(&why)) {
-            std::cerr << row.label << " FAILED: " << why << "\n";
+            std::cerr << design.name << " FAILED: " << why << "\n";
             return 1;
         }
         table.row()
-            .cell(row.label)
+            .cell(design.name)
             .cell(double(result.wallNs) / 1e6, 1)
             .cell(result.total.tasksProcessed)
             .cell(result.avgDrift, 1)

@@ -48,6 +48,15 @@ unlockReclaim(std::atomic<uint32_t> &lock)
  *  returns start refilling the free list. */
 constexpr size_t kBagPoolPrewarm = 4;
 
+/** Envelopes staged per destination before an eager combining-buffer
+ *  flush (pushBatch always flushes everything at batch end, so this
+ *  only bounds the staging memory of very large batches). */
+constexpr size_t kSendFlushThreshold = 16;
+
+/** Internal heaps per worker for the relaxed local-PQ backend
+ *  (RelaxedMqLocalPq ways; ignored by the exact DAry backend). */
+constexpr unsigned kLocalPqWays = 4;
+
 } // namespace
 
 template <template <typename, typename> class LocalPqT>
@@ -59,9 +68,6 @@ BasicHdCpsScheduler<LocalPqT>::BasicHdCpsScheduler(unsigned numWorkers,
     hdcps_check(numWorkers >= 1, "need at least one worker");
     hdcps_check(config.sampleInterval >= 1, "sample interval must be >= 1");
     hdcps_check(config.fixedTdf <= 100, "fixedTdf is a percentage");
-    hdcps_check(config.sendFlushThreshold >= 1,
-                "send flush threshold must be >= 1");
-    hdcps_check(config.localPqWays >= 1, "need at least one local-PQ way");
     hdcps_check(config.crossNodePct <= 100 ||
                     config.crossNodePct == kCrossNodeFollowTdf,
                 "crossNodePct is a percentage (or kCrossNodeFollowTdf)");
@@ -93,7 +99,7 @@ BasicHdCpsScheduler<LocalPqT>::BasicHdCpsScheduler(unsigned numWorkers,
         w->rng.reseed(
             mix64(config.seed ^ (uint64_t(i) * 0x9e3779b97f4a7c15ULL)));
         w->pq.configure(
-            config.localPqWays,
+            kLocalPqWays,
             mix64((config.seed + 0x5851f42d) ^
                   (uint64_t(i) * 0x9e3779b97f4a7c15ULL)));
         w->heartbeatNs.store(now, std::memory_order_relaxed);
@@ -150,7 +156,7 @@ BasicHdCpsScheduler<LocalPqT>::placeWorkerBuffers(unsigned tid)
     // follows the caller's pinning.
     WorkerState &w = *workers_[tid];
     w.rq = std::make_unique<ReceiveQueue<Envelope>>(config_.rqCapacity);
-    w.sendArena.resize(size_t(numWorkers()) * config_.sendFlushThreshold);
+    w.sendArena.resize(size_t(numWorkers()) * kSendFlushThreshold);
     w.sendCount.assign(numWorkers(), 0);
     // Bag envelopes follow the same first-touch policy as the ring and
     // the arena: prewarm a handful of pool nodes on the owning thread
@@ -207,7 +213,7 @@ BasicHdCpsScheduler<LocalPqT>::~BasicHdCpsScheduler()
         }
         for (unsigned d = 0; d < numWorkers(); ++d) {
             const Envelope *seg =
-                w.sendArena.data() + size_t(d) * config_.sendFlushThreshold;
+                w.sendArena.data() + size_t(d) * kSendFlushThreshold;
             for (uint32_t i = 0; i < w.sendCount[d]; ++i) {
                 if (seg[i].bag)
                     pool_.release(tid, seg[i].bag);
@@ -363,7 +369,7 @@ BasicHdCpsScheduler<LocalPqT>::reclaimWorker(unsigned reclaimer,
     std::vector<Envelope> moved;
     for (unsigned d = 0; d < n; ++d) {
         const Envelope *seg =
-            v.sendArena.data() + size_t(d) * config_.sendFlushThreshold;
+            v.sendArena.data() + size_t(d) * kSendFlushThreshold;
         for (uint32_t i = 0; i < v.sendCount[d]; ++i)
             moved.push_back(seg[i]);
         v.sendCount[d] = 0;
@@ -622,7 +628,7 @@ BasicHdCpsScheduler<LocalPqT>::stageRemote(unsigned from, unsigned dest,
     bumpCounter(w.stats.remoteEnqueues);
     if (metrics_)
         metrics_->add(from, WorkerCounter::RemoteEnqueues);
-    const size_t cap = config_.sendFlushThreshold;
+    const size_t cap = kSendFlushThreshold;
     uint32_t n = w.sendCount[dest];
     if (n == 0)
         w.dirtySends.push_back(dest);
@@ -643,7 +649,7 @@ BasicHdCpsScheduler<LocalPqT>::flushDest(unsigned from, unsigned dest)
     if (staged == 0)
         return;
     const Envelope *buf =
-        w.sendArena.data() + size_t(dest) * config_.sendFlushThreshold;
+        w.sendArena.data() + size_t(dest) * kSendFlushThreshold;
     bumpCounter(w.stats.srqBatchFlushes);
     if (metrics_)
         metrics_->add(from, WorkerCounter::SrqBatchFlushes);
@@ -914,7 +920,7 @@ BasicHdCpsScheduler<LocalPqT>::reclaimFromStraggler(unsigned tid, uint64_t stale
         // peers; with the victim's lock held they are ours to take).
         for (unsigned d = 0; d < n; ++d) {
             const Envelope *seg = victim.sendArena.data() +
-                                  size_t(d) * config_.sendFlushThreshold;
+                                  size_t(d) * kSendFlushThreshold;
             for (uint32_t i = 0; i < victim.sendCount[d]; ++i) {
                 const Envelope &e = seg[i];
                 moved += e.bag ? e.bag->tasks.size() : size_t(1);

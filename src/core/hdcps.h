@@ -72,15 +72,6 @@ struct HdCpsConfig
     BagPolicy bags{BagMode::None, BagTransport::Pull, 3, 10};
     uint64_t seed = 1;
     /**
-     * Envelopes staged per destination before an eager combining-buffer
-     * flush (pushBatch always flushes everything at batch end, so this
-     * only bounds the staging memory of very large batches).
-     */
-    size_t sendFlushThreshold = 16;
-    /** Internal heaps per worker for the relaxed local-PQ backend
-     *  (RelaxedMqLocalPq ways; ignored by the exact DAry backend). */
-    unsigned localPqWays = 4;
-    /**
      * Worker placement across NUMA nodes. The default (one flat node)
      * keeps chooseDest's original single-draw routing and changes
      * nothing. With >= 2 nodes, workers split into contiguous per-node
@@ -359,7 +350,7 @@ class BasicHdCpsScheduler : public Scheduler
          * reclaimer drains a straggler's staged envelopes too).
          *
          * One flat arena instead of a vector-of-vectors: destination
-         * d's segment is sendArena[d * sendFlushThreshold ..), with
+         * d's segment is sendArena[d * kSendFlushThreshold ..), with
          * sendCount[d] staged entries. The eager threshold flush keeps
          * every segment within its fixed capacity, and staging becomes
          * one indexed store with no per-destination heap allocation or

@@ -8,20 +8,14 @@ namespace hdcps {
 
 namespace {
 
+/** Shared queues per worker: the classic MultiQueue "c" parameter. */
+constexpr unsigned kQueuesPerWorker = 2;
+
 /** Descending order for the insertion buffer (minimum at the back). */
 inline bool
 descending(const Task &a, const Task &b)
 {
     return TaskOrder{}(b, a);
-}
-
-MultiQueueConfig
-classicConfig(unsigned queuesPerWorker, uint64_t seed)
-{
-    MultiQueueConfig config;
-    config.queuesPerWorker = queuesPerWorker;
-    config.seed = seed;
-    return config;
 }
 
 } // namespace
@@ -65,14 +59,12 @@ MultiQueueScheduler::MultiQueueScheduler(unsigned numWorkers,
     : Scheduler(numWorkers), config_(config)
 {
     hdcps_check(numWorkers >= 1, "need at least one worker");
-    hdcps_check(config_.queuesPerWorker >= 1,
-                "need at least one queue/worker");
     config_.stickiness = std::max(config_.stickiness, 1u);
     config_.insertionBufferCap = std::max<size_t>(config_.insertionBufferCap, 1);
     config_.deletionBufferCap = std::max<size_t>(config_.deletionBufferCap, 1);
     // Worker-blocked layout: queues [w*c, (w+1)*c) belong to worker w,
     // which is what the local/remote attribution in push() relies on.
-    const size_t numQueues = size_t(numWorkers) * config_.queuesPerWorker;
+    const size_t numQueues = size_t(numWorkers) * kQueuesPerWorker;
     queues_.reserve(numQueues);
     for (size_t i = 0; i < numQueues; ++i)
         queues_.push_back(std::make_unique<MqQueue>());
@@ -85,13 +77,6 @@ MultiQueueScheduler::MultiQueueScheduler(unsigned numWorkers,
         workers_.push_back(std::move(w));
     }
     externalRng_.reseed(workerStreamSeed(config_.seed, numWorkers));
-}
-
-MultiQueueScheduler::MultiQueueScheduler(unsigned numWorkers,
-                                         unsigned queuesPerWorker,
-                                         uint64_t seed)
-    : MultiQueueScheduler(numWorkers, classicConfig(queuesPerWorker, seed))
-{
 }
 
 void
@@ -132,7 +117,7 @@ MultiQueueScheduler::push(unsigned tid, const Task &task)
                                w.insertionBuffer.end(), task, descending);
     w.insertionBuffer.insert(it, task);
     if (metrics_) {
-        const bool local = w.insQueue / config_.queuesPerWorker == tid;
+        const bool local = w.insQueue / kQueuesPerWorker == tid;
         metrics_->add(tid, local ? WorkerCounter::LocalEnqueues
                                  : WorkerCounter::RemoteEnqueues);
     }

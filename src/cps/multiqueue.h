@@ -39,12 +39,12 @@
  * may strand buffered tasks exactly like HD-CPS's private PQs.
  *
  * Queue ownership for metric attribution is explicit: the constructor
- * lays out queuesPerWorker consecutive queues per worker, so queue q
- * belongs to worker q / queuesPerWorker. A push is counted local when
- * its sticky destination queue is owned by the pushing worker. Pushes
- * from threads outside the worker set (seeding or test drivers with
- * tid >= numWorkers) take a bound-checked external path instead of
- * indexing per-worker state out of bounds.
+ * lays out c = 2 consecutive queues per worker (the classic "c"
+ * parameter), so queue q belongs to worker q / c. A push is counted
+ * local when its sticky destination queue is owned by the pushing
+ * worker. Pushes from threads outside the worker set (seeding or test
+ * drivers with tid >= numWorkers) take a bound-checked external path
+ * instead of indexing per-worker state out of bounds.
  */
 
 #ifndef HDCPS_CPS_MULTIQUEUE_H_
@@ -67,7 +67,6 @@ namespace hdcps {
  *  moderate-relaxation configuration). */
 struct MultiQueueConfig
 {
-    unsigned queuesPerWorker = 2; ///< the classic "c" parameter
     /** Operations before a worker redraws its sticky queues (1 =
      *  classic fully-random MultiQueue behavior). */
     unsigned stickiness = 8;
@@ -80,11 +79,8 @@ struct MultiQueueConfig
 class MultiQueueScheduler : public Scheduler
 {
   public:
-    MultiQueueScheduler(unsigned numWorkers,
-                        const MultiQueueConfig &config);
-    /** Classic-parameter convenience constructor (c, seed). */
-    MultiQueueScheduler(unsigned numWorkers, unsigned queuesPerWorker = 2,
-                        uint64_t seed = 1);
+    explicit MultiQueueScheduler(unsigned numWorkers,
+                                 const MultiQueueConfig &config = {});
 
     void push(unsigned tid, const Task &task) override;
     bool tryPop(unsigned tid, Task &out) override;
@@ -92,9 +88,6 @@ class MultiQueueScheduler : public Scheduler
 
     /** Queue-count + published worker-buffer occupancy (lock-free). */
     size_t sizeApprox() const override;
-
-    size_t numQueues() const { return queues_.size(); }
-    const MultiQueueConfig &config() const { return config_; }
 
     /**
      * Per-worker RNG stream seed. Public so tests can assert stream

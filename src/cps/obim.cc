@@ -4,12 +4,20 @@
 
 namespace hdcps {
 
-ObimBase::ObimBase(unsigned numWorkers, const Config &config)
-    : Scheduler(numWorkers), config_(config), delta_(config.delta)
+namespace {
+
+/** Tasks a worker claims per map visit. */
+constexpr size_t kChunkSize = 16;
+
+/** Starting log2 of the priority range per bag (PMOD adapts it). */
+constexpr unsigned kInitialDelta = 3;
+
+} // namespace
+
+ObimBase::ObimBase(unsigned numWorkers)
+    : Scheduler(numWorkers), delta_(kInitialDelta)
 {
     hdcps_check(numWorkers >= 1, "need at least one worker");
-    hdcps_check(config.delta <= 32, "delta out of range");
-    hdcps_check(config.chunkSize >= 1, "chunk size must be >= 1");
     workers_.reserve(numWorkers);
     for (unsigned i = 0; i < numWorkers; ++i)
         workers_.push_back(std::make_unique<WorkerState>());
@@ -88,7 +96,7 @@ ObimBase::tryPop(unsigned tid, Task &out)
     // Refill from the worker's current bag first (bulk processing of a
     // bag is where OBIM's synchronization savings come from).
     if (w.currentBag) {
-        size_t got = w.currentBag->popChunk(w.chunk, config_.chunkSize);
+        size_t got = w.currentBag->popChunk(w.chunk, kChunkSize);
         if (got > 0) {
             w.takenFromCurrent += got;
             out = w.chunk.back();
@@ -101,13 +109,18 @@ ObimBase::tryPop(unsigned tid, Task &out)
         w.takenFromCurrent = 0;
     }
 
-    // Search the global map for the best non-empty bag.
-    ObimBag *best = findBestBag();
-    if (!best)
-        return false;
-    size_t got = best->popChunk(w.chunk, config_.chunkSize);
-    if (got == 0)
-        return false; // raced with other workers; caller will retry
+    // Search the global map for the best non-empty bag. Another worker
+    // (or a Software-Minnow helper) may drain the chosen bag between
+    // the scan and the claim; rescan rather than report empty while
+    // other bags still hold work.
+    ObimBag *best = nullptr;
+    size_t got = 0;
+    while (got == 0) {
+        best = findBestBag();
+        if (!best)
+            return false;
+        got = best->popChunk(w.chunk, kChunkSize);
+    }
     w.currentBag = best;
     w.takenFromCurrent = got;
     out = w.chunk.back();

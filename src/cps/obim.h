@@ -80,13 +80,7 @@ class ObimBag
 class ObimBase : public Scheduler
 {
   public:
-    struct Config
-    {
-        unsigned delta = 3;     ///< log2 of the priority range per bag
-        size_t chunkSize = 16;  ///< tasks a worker claims per map visit
-    };
-
-    ObimBase(unsigned numWorkers, const Config &config);
+    explicit ObimBase(unsigned numWorkers);
 
     void push(unsigned tid, const Task &task) override;
     bool tryPop(unsigned tid, Task &out) override;
@@ -134,8 +128,6 @@ class ObimBase : public Scheduler
     void setDelta(unsigned delta) { delta_.store(delta,
                                                  std::memory_order_relaxed); }
 
-    Config config_;
-
   private:
     struct alignas(cacheLineBytes) WorkerState
     {
@@ -158,9 +150,7 @@ class ObimBase : public Scheduler
 class ObimScheduler : public ObimBase
 {
   public:
-    explicit ObimScheduler(unsigned numWorkers, const Config &config = {})
-        : ObimBase(numWorkers, config)
-    {}
+    explicit ObimScheduler(unsigned numWorkers) : ObimBase(numWorkers) {}
 
     const char *name() const override { return "obim"; }
 };

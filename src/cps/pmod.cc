@@ -1,17 +1,16 @@
 #include "cps/pmod.h"
 
-#include "support/logging.h"
-
 namespace hdcps {
 
-PmodScheduler::PmodScheduler(unsigned numWorkers, const PmodConfig &config)
-    : ObimBase(numWorkers, config.obim), pmodConfig_(config)
-{
-    hdcps_check(config.window >= 1, "window must be >= 1");
-    hdcps_check(config.minDelta <= config.maxDelta, "bad delta bounds");
-    hdcps_check(config.lowYield < config.highYield,
-                "lowYield must be < highYield");
-}
+namespace {
+
+constexpr uint64_t kWindow = 32;    ///< bag retirements per decision
+constexpr uint64_t kLowYield = 2;   ///< window avg below => merge
+constexpr uint64_t kHighYield = 64; ///< window avg above => split
+constexpr unsigned kMinDelta = 0;
+constexpr unsigned kMaxDelta = 8;
+
+} // namespace
 
 void
 PmodScheduler::onBagExhausted(size_t tasksTaken)
@@ -19,7 +18,7 @@ PmodScheduler::onBagExhausted(size_t tasksTaken)
     retiredTasks_.fetch_add(tasksTaken, std::memory_order_relaxed);
     uint64_t retired =
         retiredBags_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (retired % pmodConfig_.window != 0)
+    if (retired % kWindow != 0)
         return;
 
     // Decision point: average tasks drained per retired bag over the
@@ -27,17 +26,12 @@ PmodScheduler::onBagExhausted(size_t tasksTaken)
     // start-up behaviour long after the application changed phase.
     uint64_t tasks =
         retiredTasks_.exchange(0, std::memory_order_relaxed);
-    uint64_t avgYield = tasks / pmodConfig_.window;
+    uint64_t avgYield = tasks / kWindow;
     unsigned delta = currentDelta();
-    if (avgYield < pmodConfig_.lowYield &&
-        delta < pmodConfig_.maxDelta) {
+    if (avgYield < kLowYield && delta < kMaxDelta)
         setDelta(delta + 1);
-        adjustments_.fetch_add(1, std::memory_order_relaxed);
-    } else if (avgYield > pmodConfig_.highYield &&
-               delta > pmodConfig_.minDelta) {
+    else if (avgYield > kHighYield && delta > kMinDelta)
         setDelta(delta - 1);
-        adjustments_.fetch_add(1, std::memory_order_relaxed);
-    }
 }
 
 } // namespace hdcps

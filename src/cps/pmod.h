@@ -8,7 +8,7 @@
  * narrow (delta too small → many near-empty bags → drift and map churn),
  * so delta grows; bags that are consistently over-filled mean diverging
  * priorities are being merged (delta too large → work inefficiency), so
- * delta shrinks. Adaptation happens every `window` bag retirements.
+ * delta shrinks. Adaptation happens every 32 bag retirements.
  */
 
 #ifndef HDCPS_CPS_PMOD_H_
@@ -24,37 +24,16 @@ namespace hdcps {
 class PmodScheduler : public ObimBase
 {
   public:
-    struct PmodConfig
-    {
-        Config obim{};               ///< starting delta / chunk size
-        size_t window = 32;          ///< bag retirements per decision
-        size_t lowYield = 2;         ///< window avg below => merge
-        size_t highYield = 64;       ///< window avg above => split
-        unsigned minDelta = 0;
-        unsigned maxDelta = 8;
-    };
-
-    PmodScheduler(unsigned numWorkers, const PmodConfig &config);
-    explicit PmodScheduler(unsigned numWorkers)
-        : PmodScheduler(numWorkers, PmodConfig{})
-    {}
+    explicit PmodScheduler(unsigned numWorkers) : ObimBase(numWorkers) {}
 
     const char *name() const override { return "pmod"; }
-
-    /** Number of delta adjustments made so far (diagnostic). */
-    uint64_t numAdjustments() const
-    {
-        return adjustments_.load(std::memory_order_relaxed);
-    }
 
   protected:
     void onBagExhausted(size_t tasksTaken) override;
 
   private:
-    PmodConfig pmodConfig_;
     std::atomic<uint64_t> retiredBags_{0};
     std::atomic<uint64_t> retiredTasks_{0};
-    std::atomic<uint64_t> adjustments_{0};
 };
 
 } // namespace hdcps

@@ -4,7 +4,8 @@ namespace hdcps {
 
 SwMinnowScheduler::SwMinnowScheduler(unsigned numWorkers,
                                      const MinnowConfig &config)
-    : ObimBase(numWorkers, config.obim), minnowConfig_(config)
+    : ObimBase(numWorkers), minnowConfig_(config),
+      claimSeq_(config.numMinnows)
 {
     hdcps_check(config.numMinnows >= 1, "need at least one minnow thread");
     hdcps_check(isPowerOf2(config.bufferCapacity),
@@ -29,6 +30,25 @@ SwMinnowScheduler::~SwMinnowScheduler()
 bool
 SwMinnowScheduler::tryPop(unsigned tid, Task &out)
 {
+    if (popVisible(tid, out))
+        return true;
+    // Nothing visible, but a helper may hold claimed tasks between the
+    // map and a ring. Wait out every claim in flight, then look once
+    // more: whatever those claims took is now staged or back in the map,
+    // so a lone worker never reports empty while work remains.
+    for (unsigned m = 0; m < minnowConfig_.numMinnows; ++m) {
+        const uint64_t seq = claimSeq_[m].load(std::memory_order_acquire);
+        if (seq & 1) {
+            while (claimSeq_[m].load(std::memory_order_acquire) == seq)
+                std::this_thread::yield();
+        }
+    }
+    return popVisible(tid, out);
+}
+
+bool
+SwMinnowScheduler::popVisible(unsigned tid, Task &out)
+{
     // Staged work first: this is the decoupling benefit — the worker
     // avoids touching the shared map while its helper keeps up.
     if (staging_[tid]->tryPop(out)) {
@@ -44,7 +64,6 @@ SwMinnowScheduler::tryPop(unsigned tid, Task &out)
         Priority mapBest = 0;
         if (bestNonEmptyBase(mapBest) && mapBest < stagedBase) {
             repushClaimed(out);
-            restaged_.fetch_add(1, std::memory_order_relaxed);
             return ObimBase::tryPop(tid, out);
         }
         if (metrics_ && metrics_->tick(tid)) {
@@ -65,6 +84,7 @@ SwMinnowScheduler::minnowLoop(unsigned minnowId)
     // Static partition: minnow m serves workers with
     // tid % numMinnows == m (the paper's 36-4 split gives 9 each).
     const unsigned stride = minnowConfig_.numMinnows;
+    std::atomic<uint64_t> &seq = claimSeq_[minnowId];
     std::vector<Task> chunk;
     while (!stop_.load(std::memory_order_acquire)) {
         bool didWork = false;
@@ -72,17 +92,19 @@ SwMinnowScheduler::minnowLoop(unsigned minnowId)
             SpscRing<Task> &ring = *staging_[w];
             if (ring.sizeApprox() > ring.capacity() / 2)
                 continue;
+            seq.fetch_add(1, std::memory_order_acq_rel); // claim in flight
             chunk.clear();
             size_t got = claimChunk(chunk, minnowConfig_.prefetchChunk);
-            if (got == 0)
+            if (got == 0) {
+                seq.fetch_add(1, std::memory_order_release);
                 continue;
+            }
             didWork = true;
             size_t staged = 0;
             for (; staged < chunk.size(); ++staged) {
                 if (!ring.tryPush(chunk[staged]))
                     break;
             }
-            prefetched_.fetch_add(staged, std::memory_order_relaxed);
             // Anything that did not fit goes straight back to the map —
             // via the attribution-free path: push(w, ...) from this
             // helper thread would write worker w's registry slots
@@ -95,6 +117,7 @@ SwMinnowScheduler::minnowLoop(unsigned minnowId)
                 for (size_t i = staged; i < chunk.size(); ++i)
                     repushClaimed(chunk[i]);
             }
+            seq.fetch_add(1, std::memory_order_release); // published
         }
         if (!didWork)
             std::this_thread::yield();

@@ -38,7 +38,6 @@ class SwMinnowScheduler : public ObimBase
   public:
     struct MinnowConfig
     {
-        Config obim{};
         unsigned numMinnows = 1;    ///< helper threads
         size_t bufferCapacity = 64; ///< per-worker staging ring slots
         size_t prefetchChunk = 16;  ///< tasks staged per helper visit
@@ -53,14 +52,6 @@ class SwMinnowScheduler : public ObimBase
     bool tryPop(unsigned tid, Task &out) override;
     const char *name() const override { return "swminnow"; }
 
-    unsigned numMinnows() const { return minnowConfig_.numMinnows; }
-
-    /** Tasks delivered through staging buffers (diagnostic). */
-    uint64_t prefetchedTasks() const
-    {
-        return prefetched_.load(std::memory_order_relaxed);
-    }
-
     /** Claimed tasks spilled back to the map because the staging ring
      *  was full (helper-thread aggregate — helpers own no registry
      *  slot, so this is their attribution sink). */
@@ -69,23 +60,20 @@ class SwMinnowScheduler : public ObimBase
         return spilled_.load(std::memory_order_relaxed);
     }
 
-    /** Staged tasks returned to the map at serve time because the map
-     *  held a strictly better bag (stale-prefetch re-checks). */
-    uint64_t restagedTasks() const
-    {
-        return restaged_.load(std::memory_order_relaxed);
-    }
-
   private:
+    /** Serve a staged task (with the serve-time rank re-check), else
+     *  fall back to the bag map. */
+    bool popVisible(unsigned tid, Task &out);
     void minnowLoop(unsigned minnowId);
 
     MinnowConfig minnowConfig_;
     std::vector<std::unique_ptr<SpscRing<Task>>> staging_;
     std::vector<std::thread> minnows_;
     std::atomic<bool> stop_{false};
-    std::atomic<uint64_t> prefetched_{0};
     std::atomic<uint64_t> spilled_{0};
-    std::atomic<uint64_t> restaged_{0};
+    /** Per helper: odd while a claimed chunk is between the map and a
+     *  ring, so an empty-handed worker can wait out the claim. */
+    std::vector<std::atomic<uint64_t>> claimSeq_;
 };
 
 } // namespace hdcps

@@ -56,60 +56,67 @@ class SimSequential : public SimDesign
     std::vector<Task> children_;
 };
 
+using Built = std::unique_ptr<SimDesign>;
+
+template <class Design>
+Built
+plain(const char *)
+{
+    return std::make_unique<Design>();
+}
+
+template <SimHdCpsConfig (*Preset)()>
+Built
+hdcps(const char *name)
+{
+    return std::make_unique<SimHdCps>(Preset(), name);
+}
+
+constexpr SimDesignEntry kSimDesigns[] = {
+    // The comparison designs, in figure order.
+    {"reld", plain<SimReld>},
+    {"multiqueue", plain<SimMultiQueue>},
+    {"obim",
+     [](const char *name) -> Built {
+         return std::make_unique<SimObim>(SimObim::obimConfig(), name);
+     }},
+    {"pmod",
+     [](const char *name) -> Built {
+         return std::make_unique<SimObim>(SimObim::pmodConfig(), name);
+     }},
+    // 64 cores split ~9:1 like the paper's best 36-4 Xeon split.
+    {"swminnow",
+     [](const char *name) -> Built {
+         return std::make_unique<SimObim>(SimObim::swMinnowConfig(6), name);
+     }},
+    {"hdcps-sw", hdcps<SimHdCps::configSw>},
+    {"hdcps-hrq", hdcps<SimHdCps::configHrqOnly>},
+    {"hdcps-hw", hdcps<SimHdCps::configHw>},
+    {"minnow-hw", plain<SimMinnowHw>},
+    {"swarm", plain<SimSwarm>},
+    // The HD-CPS:SW ablation steps and the hPQ-only hardware variant.
+    {"hdcps-srq", hdcps<SimHdCps::configSrq>},
+    {"hdcps-srq-tdf", hdcps<SimHdCps::configSrqTdf>},
+    {"hdcps-srq-tdf-ac", hdcps<SimHdCps::configSrqTdfAc>},
+    {"hdcps-hpq", hdcps<SimHdCps::configHpqOnly>},
+    {"sequential", plain<SimSequential>},
+};
+
 } // namespace
+
+std::span<const SimDesignEntry>
+simDesigns()
+{
+    return kSimDesigns;
+}
 
 std::unique_ptr<SimDesign>
 makeDesign(const std::string &name)
 {
-    if (name == "reld")
-        return std::make_unique<SimReld>();
-    if (name == "multiqueue")
-        return std::make_unique<SimMultiQueue>();
-    if (name == "obim") {
-        return std::make_unique<SimObim>(SimObim::obimConfig(), "obim");
+    for (const SimDesignEntry &design : kSimDesigns) {
+        if (name == design.name)
+            return design.make(design.name);
     }
-    if (name == "pmod") {
-        return std::make_unique<SimObim>(SimObim::pmodConfig(), "pmod");
-    }
-    if (name == "swminnow") {
-        // 64 cores split ~9:1 like the paper's best 36-4 Xeon split.
-        return std::make_unique<SimObim>(SimObim::swMinnowConfig(6),
-                                         "swminnow");
-    }
-    if (name == "minnow-hw")
-        return std::make_unique<SimMinnowHw>();
-    if (name == "swarm")
-        return std::make_unique<SimSwarm>();
-    if (name == "hdcps-srq") {
-        return std::make_unique<SimHdCps>(SimHdCps::configSrq(),
-                                          "hdcps-srq");
-    }
-    if (name == "hdcps-srq-tdf") {
-        return std::make_unique<SimHdCps>(SimHdCps::configSrqTdf(),
-                                          "hdcps-srq-tdf");
-    }
-    if (name == "hdcps-srq-tdf-ac") {
-        return std::make_unique<SimHdCps>(SimHdCps::configSrqTdfAc(),
-                                          "hdcps-srq-tdf-ac");
-    }
-    if (name == "hdcps-sw") {
-        return std::make_unique<SimHdCps>(SimHdCps::configSw(),
-                                          "hdcps-sw");
-    }
-    if (name == "hdcps-hrq") {
-        return std::make_unique<SimHdCps>(SimHdCps::configHrqOnly(),
-                                          "hdcps-hrq");
-    }
-    if (name == "hdcps-hpq") {
-        return std::make_unique<SimHdCps>(SimHdCps::configHpqOnly(),
-                                          "hdcps-hpq");
-    }
-    if (name == "hdcps-hw") {
-        return std::make_unique<SimHdCps>(SimHdCps::configHw(),
-                                          "hdcps-hw");
-    }
-    if (name == "sequential")
-        return std::make_unique<SimSequential>();
     hdcps_fatal("unknown design '%s'", name.c_str());
 }
 
@@ -117,18 +124,6 @@ std::unique_ptr<SimDesign>
 makeHdCpsDesign(const SimHdCpsConfig &config, const std::string &name)
 {
     return std::make_unique<SimHdCps>(config, name);
-}
-
-const char *const *
-designNames(size_t &count)
-{
-    static const char *const names[] = {
-        "reld",      "multiqueue", "obim",      "pmod",
-        "swminnow",  "hdcps-sw",   "hdcps-hrq", "hdcps-hw",
-        "minnow-hw", "swarm",
-    };
-    count = sizeof(names) / sizeof(names[0]);
-    return names;
 }
 
 SimResult

@@ -10,6 +10,7 @@
 #define HDCPS_SIMSCHED_RUNNER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "algos/workload.h"
@@ -18,20 +19,24 @@
 
 namespace hdcps {
 
-/**
- * Build a design by name:
- *  reld | multiqueue | obim | pmod | swminnow | minnow-hw | swarm |
- *  hdcps-srq | hdcps-srq-tdf | hdcps-srq-tdf-ac | hdcps-sw |
- *  hdcps-hrq | hdcps-hpq | hdcps-hw
- */
+/** One simulated design: its name and how to build it (the factory
+ *  is handed the entry's own name). */
+struct SimDesignEntry
+{
+    const char *name;
+    std::unique_ptr<SimDesign> (*make)(const char *name);
+};
+
+/** Every simulated design: the comparison designs in figure order,
+ *  then the HD-CPS ablation steps, hdcps-hpq, and sequential. */
+std::span<const SimDesignEntry> simDesigns();
+
+/** Build the simDesigns() entry called `name` (fatal if unknown). */
 std::unique_ptr<SimDesign> makeDesign(const std::string &name);
 
 /** Build an HD-CPS design with an explicit config (for sweeps). */
 std::unique_ptr<SimDesign> makeHdCpsDesign(const SimHdCpsConfig &config,
                                            const std::string &name);
-
-/** All comparison design names in figure order. */
-const char *const *designNames(size_t &count);
 
 /**
  * Run `designName` over `workload` on a machine with `config`.

@@ -16,11 +16,7 @@
 #include "algos/relaxation.h"
 #include "algos/sequential.h"
 #include "algos/workload.h"
-#include "core/hdcps.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/designs.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 
@@ -252,27 +248,6 @@ struct MatrixParam
     const char *input;
 };
 
-std::unique_ptr<Scheduler>
-makeThreadedScheduler(const std::string &name, unsigned workers)
-{
-    if (name == "reld")
-        return std::make_unique<ReldScheduler>(workers, 7);
-    if (name == "obim")
-        return std::make_unique<ObimScheduler>(workers);
-    if (name == "pmod")
-        return std::make_unique<PmodScheduler>(workers);
-    if (name == "swminnow") {
-        SwMinnowScheduler::MinnowConfig config;
-        config.numMinnows = 1;
-        return std::make_unique<SwMinnowScheduler>(workers, config);
-    }
-    if (name == "hdcps-sw") {
-        return std::make_unique<HdCpsScheduler>(
-            workers, HdCpsScheduler::configSw());
-    }
-    hdcps_fatal("unknown scheduler %s", name.c_str());
-}
-
 class KernelSchedulerMatrix : public testing::TestWithParam<MatrixParam>
 {
 };
@@ -285,7 +260,8 @@ TEST_P(KernelSchedulerMatrix, ParallelResultMatchesReference)
                   : makeRmat(9, 5u << 9, 0.5, 0.22, 0.22, {.seed = 23});
     auto workload = makeWorkload(param.kernel, g, 0);
     constexpr unsigned threads = 4;
-    auto sched = makeThreadedScheduler(param.scheduler, threads);
+    auto sched =
+        findThreadedDesign(param.scheduler)->make(threads, DesignParams{});
     RunOptions options;
     options.numThreads = threads;
     RunResult result = run(*sched, workload->initialTasks(),
@@ -302,11 +278,9 @@ matrixParams()
     std::vector<MatrixParam> params;
     for (const char *kernel :
          {"sssp", "bfs", "astar", "mst", "color", "pagerank"}) {
-        for (const char *sched :
-             {"reld", "obim", "pmod", "swminnow", "hdcps-sw"}) {
-            for (const char *input : {"road", "rmat"}) {
-                params.push_back({kernel, sched, input});
-            }
+        for (const DesignEntry &design : threadedDesigns()) {
+            for (const char *input : {"road", "rmat"})
+                params.push_back({kernel, design.name, input});
         }
     }
     return params;

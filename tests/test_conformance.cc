@@ -35,12 +35,7 @@
 #include <vector>
 
 #include "algos/workload.h"
-#include "core/hdcps.h"
-#include "cps/multiqueue.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/designs.h"
 #include "cps/verifying_scheduler.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
@@ -61,99 +56,34 @@ constexpr uint64_t kWatchdogMs = 5000;
 /** Wide-domain priority step: one rank on the >2^32 test domain. */
 constexpr uint64_t kWideStep = uint64_t(1) << 33;
 
+/** A registry design under its conformance name. hdcps-numa is the one
+ *  local variant: the same software design under a synthetic 2-node
+ *  topology, where hierarchical routing, per-node peer groups, and
+ *  node-aware reclamation must uphold the identical contract (and the
+ *  same exact rank bound — locality changes *where* a task lands,
+ *  never its priority). */
 struct DesignCase
 {
     const char *name;
-    std::function<std::unique_ptr<Scheduler>(unsigned threads,
-                                             uint64_t seed)>
-        make;
-    /**
-     * Quiescent single-worker rank-error bound, in kWideStep ranks.
-     * Exact backends owe 0. The slack for the relaxed backends is a
-     * measured envelope with margin, not a derived law: multiqueue's
-     * best-of-2 sampling plus its insertion/deletion buffering misses
-     * the global min by a handful of ranks (measured ≤ 24 across the
-     * test seeds, deterministic per seed), and hdcps-mq's relaxed
-     * local backend by ≤ 20 — both far below the near-domain-width
-     * (~511 ranks here) signature of a 32-bit priority truncation,
-     * which is what the bound must catch.
-     * swminnow's helper races the push phase and stages whatever was
-     * best *at claim time*, but the worker re-checks the staged bag
-     * against the map's best at serve time and repushes stale stages,
-     * so the only work that can still be served out of rank order is
-     * work the map cannot see: the staging ring (64 slots at the
-     * default bufferCapacity) plus one helper chunk in flight between
-     * claim and stage (prefetchChunk = 16). 64 + 16 + margin = 96 —
-     * a structural capacity bound, not a timing envelope, and far
-     * below the ~511-rank truncation signature.
-     */
-    uint64_t rankBoundSteps;
+    const DesignEntry *design;
+    Topology topology{};
+
+    std::unique_ptr<Scheduler>
+    make(unsigned threads, uint64_t seed) const
+    {
+        return design->make(threads, {.seed = seed, .topology = topology});
+    }
 };
 
 std::vector<DesignCase>
 conformanceDesigns()
 {
-    return {
-        {"reld",
-         [](unsigned n, uint64_t seed) {
-             return std::make_unique<ReldScheduler>(n, seed);
-         },
-         0},
-        {"obim",
-         [](unsigned n, uint64_t) {
-             return std::make_unique<ObimScheduler>(n);
-         },
-         0},
-        {"pmod",
-         [](unsigned n, uint64_t) {
-             return std::make_unique<PmodScheduler>(n);
-         },
-         0},
-        {"multiqueue",
-         [](unsigned n, uint64_t seed) {
-             return std::make_unique<MultiQueueScheduler>(n, 2, seed);
-         },
-         72},
-        {"swminnow",
-         [](unsigned n, uint64_t) {
-             return std::make_unique<SwMinnowScheduler>(n);
-         },
-         96},
-        {"hdcps-srq",
-         [](unsigned n, uint64_t seed) {
-             HdCpsConfig config = HdCpsScheduler::configSrq();
-             config.seed = seed;
-             return std::make_unique<HdCpsScheduler>(n, config);
-         },
-         0},
-        {"hdcps-sw",
-         [](unsigned n, uint64_t seed) {
-             HdCpsConfig config = HdCpsScheduler::configSw();
-             config.seed = seed;
-             return std::make_unique<HdCpsScheduler>(n, config);
-         },
-         0},
-        {"hdcps-mq",
-         [](unsigned n, uint64_t seed) {
-             HdCpsConfig config = HdCpsMqScheduler::configSw();
-             config.seed = seed;
-             return std::make_unique<HdCpsMqScheduler>(n, config);
-         },
-         64},
-        // Same software design under a synthetic 2-node topology:
-        // hierarchical routing, per-node peer groups, and node-aware
-        // reclamation must uphold the identical contract (and the same
-        // exact rank bound — locality changes *where* a task lands,
-        // never its priority).
-        {"hdcps-numa",
-         [](unsigned n, uint64_t seed) {
-             HdCpsConfig config = HdCpsScheduler::configSw();
-             config.seed = seed;
-             config.topology = Topology::synthetic(2, 2);
-             return std::make_unique<HdCpsScheduler>(n, config);
-         },
-         0},
-    };
+    std::vector<DesignCase> cases;
+    for (const DesignEntry &design : threadedDesigns())
+        cases.push_back({design.name, &design});
+    cases.push_back({"hdcps-numa", findThreadedDesign("hdcps-sw"),
+                     Topology::synthetic(2, 2)});
+    return cases;
 }
 
 /** One chaos corner of the scenario matrix. */
@@ -413,7 +343,8 @@ TEST_P(ConformanceMatrix, QuiescentRankErrorWithinBackendBound)
     // A quiescent single worker pushes a shuffled permutation of K
     // priorities spaced kWideStep apart (so the domain spans far past
     // 2^32), then drains. The verifier samples every pop; each backend
-    // owes the bound documented in its table entry.
+    // owes the bound documented in its registry entry
+    // (DesignEntry::rankBoundSteps).
     constexpr unsigned K = 512;
     const DesignCase d = design();
     for (uint64_t seed : {1ull, 7ull, 19ull}) {
@@ -450,7 +381,7 @@ TEST_P(ConformanceMatrix, QuiescentRankErrorWithinBackendBound)
         EXPECT_EQ(report.outstanding, 0u) << d.name;
         EXPECT_GT(report.rankSamples, 0u) << d.name;
         EXPECT_LE(report.maxRankError,
-                  double(d.rankBoundSteps) * double(kWideStep))
+                  double(d.design->rankBoundSteps) * double(kWideStep))
             << d.name << " seed " << seed
             << ": rank error " << report.maxRankError << " ("
             << report.maxRankError / double(kWideStep)
@@ -493,17 +424,17 @@ TEST_P(ConformanceMatrix, TeardownWithArmedFaultsAndQueuedTasks)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllDesigns, ConformanceMatrix,
-                         testing::Range<size_t>(0, 9),
-                         [](const testing::TestParamInfo<size_t> &info) {
-                             std::string name =
-                                 conformanceDesigns()[info.param].name;
-                             for (char &ch : name) {
-                                 if (ch == '-')
-                                     ch = '_';
-                             }
-                             return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllDesigns, ConformanceMatrix,
+    testing::Range<size_t>(0, conformanceDesigns().size()),
+    [](const testing::TestParamInfo<size_t> &info) {
+        std::string name = conformanceDesigns()[info.param].name;
+        for (char &ch : name) {
+            if (ch == '-')
+                ch = '_';
+        }
+        return name;
+    });
 
 } // namespace
 } // namespace hdcps

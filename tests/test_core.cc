@@ -11,11 +11,13 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/bag_policy.h"
 #include "core/bag_pool.h"
+#include "core/designs.h"
 #include "core/drift.h"
 #include "core/hdcps.h"
 #include "core/recv_queue.h"
@@ -420,6 +422,40 @@ TEST(HdCpsScheduler, CurrentTdfWithinBounds)
     unsigned tdf = sched.currentTdf();
     EXPECT_GE(tdf, config.tdf.minTdf);
     EXPECT_LE(tdf, config.tdf.maxTdf);
+}
+
+// ------------------------------------------------ design registry
+
+TEST(DesignRegistry, NamesAreUnique)
+{
+    std::set<std::string> names;
+    for (const DesignEntry &design : threadedDesigns()) {
+        EXPECT_TRUE(names.insert(design.name).second) << design.name;
+        EXPECT_EQ(findThreadedDesign(design.name), &design);
+    }
+    EXPECT_EQ(findThreadedDesign("bogus"), nullptr);
+}
+
+TEST(DesignRegistry, SeedReachesHdCpsSw)
+{
+    // Worker 0 pushes a fixed sequence into a 4-worker hdcps-sw. Where
+    // each task lands is drawn from the per-worker RNG streams the seed
+    // defines, so the per-worker pop counts must follow the seed.
+    auto popCounts = [](uint64_t seed) {
+        auto sched =
+            findThreadedDesign("hdcps-sw")->make(4, {.seed = seed});
+        for (uint32_t i = 0; i < 400; ++i)
+            sched->push(0, Task{uint64_t(i), i, 0});
+        std::vector<unsigned> counts(4, 0);
+        Task t;
+        for (unsigned w = 0; w < 4; ++w) {
+            while (sched->tryPop(w, t))
+                ++counts[w];
+        }
+        return counts;
+    };
+    EXPECT_EQ(popCounts(5), popCounts(5));
+    EXPECT_NE(popCounts(5), popCounts(6));
 }
 
 // -------------------------------------------------- TDF deadband path

@@ -13,12 +13,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "core/designs.h"
 #include "core/hdcps.h"
 #include "cps/multiqueue.h"
 #include "cps/obim.h"
@@ -34,73 +34,37 @@
 namespace hdcps {
 namespace {
 
-using SchedulerFactory =
-    std::function<std::unique_ptr<Scheduler>(unsigned workers)>;
-
-struct SchedulerCase
-{
-    const char *label;
-    SchedulerFactory make;
-};
-
-std::vector<SchedulerCase>
+/** Every registered design, plus multiqueue-s1: stickiness 1 with
+ *  single-op buffers, the classic fully-random MultiQueue degenerate
+ *  configuration (this matrix checks no rank bound). */
+std::vector<DesignEntry>
 allSchedulers()
 {
-    return {
-        {"reld",
-         [](unsigned n) { return std::make_unique<ReldScheduler>(n, 3); }},
-        {"obim",
-         [](unsigned n) { return std::make_unique<ObimScheduler>(n); }},
-        {"pmod",
-         [](unsigned n) { return std::make_unique<PmodScheduler>(n); }},
-        {"swminnow",
-         [](unsigned n) {
-             SwMinnowScheduler::MinnowConfig config;
-             config.numMinnows = 1;
-             return std::make_unique<SwMinnowScheduler>(n, config);
-         }},
-        {"hdcps-srq",
-         [](unsigned n) {
-             return std::make_unique<HdCpsScheduler>(
-                 n, HdCpsScheduler::configSrq());
-         }},
-        {"hdcps-sw",
-         [](unsigned n) {
-             return std::make_unique<HdCpsScheduler>(
-                 n, HdCpsScheduler::configSw());
-         }},
-        {"multiqueue",
-         [](unsigned n) {
-             return std::make_unique<MultiQueueScheduler>(n, 2, 5);
-         }},
-        {"multiqueue-s1",
-         [](unsigned n) {
-             // Stickiness 1 with single-op buffers: the classic
-             // fully-random MultiQueue degenerate configuration.
-             MultiQueueConfig config;
-             config.stickiness = 1;
-             config.insertionBufferCap = 1;
-             config.deletionBufferCap = 1;
-             config.seed = 5;
-             return std::make_unique<MultiQueueScheduler>(n, config);
-         }},
-        {"hdcps-mq",
-         [](unsigned n) {
-             return std::make_unique<HdCpsMqScheduler>(
-                 n, HdCpsMqScheduler::configSw());
-         }},
-    };
+    std::vector<DesignEntry> cases(threadedDesigns().begin(),
+                                   threadedDesigns().end());
+    cases.push_back({"multiqueue-s1", 0,
+                     [](unsigned n, const DesignParams &)
+                         -> std::unique_ptr<Scheduler> {
+                         MultiQueueConfig config;
+                         config.stickiness = 1;
+                         config.insertionBufferCap = 1;
+                         config.deletionBufferCap = 1;
+                         config.seed = 5;
+                         return std::make_unique<MultiQueueScheduler>(
+                             n, config);
+                     }});
+    return cases;
 }
 
 class SchedulerMatrix : public testing::TestWithParam<size_t>
 {
   protected:
-    SchedulerCase scase() const { return allSchedulers()[GetParam()]; }
+    DesignEntry scase() const { return allSchedulers()[GetParam()]; }
 };
 
 TEST_P(SchedulerMatrix, SingleThreadConservation)
 {
-    auto sched = scase().make(1);
+    auto sched = scase().make(1, {});
     Rng rng(4);
     constexpr int count = 2000;
     long long pushedSum = 0;
@@ -116,15 +80,15 @@ TEST_P(SchedulerMatrix, SingleThreadConservation)
         poppedSum += static_cast<long long>(t.priority);
         ++popped;
     }
-    EXPECT_EQ(popped, count) << scase().label;
-    EXPECT_EQ(poppedSum, pushedSum) << scase().label;
+    EXPECT_EQ(popped, count) << scase().name;
+    EXPECT_EQ(poppedSum, pushedSum) << scase().name;
 }
 
 TEST_P(SchedulerMatrix, ConcurrentExactlyOnce)
 {
     constexpr unsigned workers = 4;
     constexpr uint32_t perWorker = 4000;
-    auto sched = scase().make(workers);
+    auto sched = scase().make(workers, {});
 
     std::vector<std::atomic<uint32_t>> seen(workers * perWorker);
     for (auto &s : seen)
@@ -144,7 +108,7 @@ TEST_P(SchedulerMatrix, ConcurrentExactlyOnce)
                 ASSERT_LT(t.node, seen.size());
                 uint32_t prev = seen[t.node].fetch_add(1);
                 ASSERT_EQ(prev, 0u)
-                    << scase().label << ": duplicate pop of " << t.node;
+                    << scase().name << ": duplicate pop of " << t.node;
                 totalPopped.fetch_add(1);
             } else if (totalPopped.load() >= workers * perWorker) {
                 break;
@@ -160,9 +124,9 @@ TEST_P(SchedulerMatrix, ConcurrentExactlyOnce)
     stopPopping.store(true);
 
     EXPECT_EQ(totalPopped.load(), uint64_t(workers) * perWorker)
-        << scase().label;
+        << scase().name;
     for (size_t i = 0; i < seen.size(); ++i)
-        ASSERT_EQ(seen[i].load(), 1u) << scase().label << " task " << i;
+        ASSERT_EQ(seen[i].load(), 1u) << scase().name << " task " << i;
 }
 
 TEST_P(SchedulerMatrix, RoughPriorityOrderWhenQuiescent)
@@ -175,24 +139,24 @@ TEST_P(SchedulerMatrix, RoughPriorityOrderWhenQuiescent)
     // first pops can predate the best pushes (timing-dependent — the
     // sanitizer builds shift it). The best priority seen in the first
     // 100 pops must still come from the best bucket region.
-    auto sched = scase().make(1);
+    auto sched = scase().make(1, {});
     for (uint32_t i = 0; i < 1000; ++i)
         sched->push(0, Task{uint64_t(1000 - i), i, 0});
     Priority bestSeen = ~Priority(0);
     Task t;
     for (int i = 0; i < 100; ++i) {
-        ASSERT_TRUE(sched->tryPop(0, t)) << scase().label;
+        ASSERT_TRUE(sched->tryPop(0, t)) << scase().name;
         if (t.priority < bestSeen)
             bestSeen = t.priority;
     }
-    EXPECT_LT(bestSeen, 200u) << scase().label;
+    EXPECT_LT(bestSeen, 200u) << scase().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, SchedulerMatrix,
-                         testing::Range<size_t>(0, 9),
+                         testing::Range<size_t>(0, allSchedulers().size()),
                          [](const testing::TestParamInfo<size_t> &info) {
                              std::string name =
-                                 allSchedulers()[info.param].label;
+                                 allSchedulers()[info.param].name;
                              for (char &ch : name) {
                                  if (ch == '-')
                                      ch = '_';
@@ -233,17 +197,30 @@ TEST(SwMinnow, SpillsDoNotDoubleCountEnqueues)
         sched.push(0, Task{uint64_t(i % 8), i, 0});
 
     // The helper needs one claim/spill cycle: a 16-task chunk against a
-    // 2-slot ring spills at least 14 tasks.
+    // 2-slot ring spills at least 14 tasks. But a helper that raced the
+    // push phase may have staged the first tasks one at a time and
+    // parked on its full ring, and a descheduled one may miss a short
+    // backlog entirely. So hold a backlog in the map and keep freeing a
+    // ring slot until a claim spills. Every push is counted; pops count
+    // no enqueues.
+    constexpr uint32_t kBacklog = 1024;
+    uint32_t pushed = kTasks;
+    uint32_t popped = 0;
+    Task t;
     const uint64_t deadline = nowNs() + uint64_t(10e9);
-    while (sched.spilledTasks() == 0 && nowNs() < deadline)
+    while (sched.spilledTasks() == 0 && nowNs() < deadline) {
+        for (; pushed - popped < kBacklog; ++pushed)
+            sched.push(0, Task{uint64_t(pushed % 8), pushed, 0});
+        popped += sched.tryPop(0, t) ? 1 : 0;
         std::this_thread::yield();
+    }
     ASSERT_GT(sched.spilledTasks(), 0u)
         << "helper never spilled; spill path not exercised";
 
     MetricsSnapshot snap = metrics.snapshot();
     const auto *remote = schedCounterByName(snap, "remote_enqueues");
     ASSERT_NE(remote, nullptr);
-    EXPECT_EQ(remote->total, kTasks)
+    EXPECT_EQ(remote->total, pushed)
         << "spill re-pushes must not be counted as new enqueues";
 }
 
@@ -336,7 +313,7 @@ TEST(MultiQueue, ExternalTidPushesAndPopsAreBoundChecked)
     // or driver thread using tid >= numWorkers read out of bounds. Such
     // pushes now take the external path; the tasks must still be
     // conserved and poppable by real workers (and by external tids).
-    MultiQueueScheduler sched(2, 2, 9);
+    MultiQueueScheduler sched(2, MultiQueueConfig{.seed = 9});
     constexpr uint32_t kTasks = 500;
     for (uint32_t i = 0; i < kTasks; ++i)
         sched.push(/*tid=*/7, Task{uint64_t(i % 31), i, 0});
@@ -361,7 +338,7 @@ TEST(MultiQueue, AttributionMatchesQueueOwnership)
     // (all enqueues local), and with several workers a worker's sticky
     // draws must hit both own and foreign queues.
     {
-        MultiQueueScheduler sched(1, 2, 3);
+        MultiQueueScheduler sched(1, MultiQueueConfig{.seed = 3});
         MetricsRegistry metrics(1);
         sched.attachMetrics(&metrics);
         constexpr uint32_t kTasks = 200;
@@ -377,7 +354,7 @@ TEST(MultiQueue, AttributionMatchesQueueOwnership)
     }
     {
         constexpr unsigned kWorkers = 4;
-        MultiQueueScheduler sched(kWorkers, 2, 3);
+        MultiQueueScheduler sched(kWorkers, MultiQueueConfig{.seed = 3});
         MetricsRegistry metrics(kWorkers);
         sched.attachMetrics(&metrics);
         constexpr uint32_t kTasks = 2000;

@@ -55,12 +55,10 @@ std::vector<DesignKernel>
 designMatrix()
 {
     std::vector<DesignKernel> params;
-    size_t designCount = 0;
-    const char *const *designs = designNames(designCount);
-    for (size_t d = 0; d < designCount; ++d) {
+    for (const SimDesignEntry &design : simDesigns()) {
         for (const char *kernel :
              {"sssp", "bfs", "astar", "mst", "color", "pagerank"}) {
-            params.push_back({designs[d], kernel});
+            params.push_back({design.name, kernel});
         }
     }
     return params;

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "algos/workload.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -198,13 +201,21 @@ TEST(SimHdCpsUnit, HpqOnlyConfigVerifies)
 
 TEST(SimDesignsUnit, MultiqueueListedAndConstructible)
 {
-    size_t count = 0;
-    const char *const *names = designNames(count);
     bool found = false;
-    for (size_t i = 0; i < count; ++i)
-        found |= std::string(names[i]) == "multiqueue";
+    for (const SimDesignEntry &design : simDesigns())
+        found |= std::string(design.name) == "multiqueue";
     EXPECT_TRUE(found);
     EXPECT_STREQ(makeDesign("multiqueue")->name(), "multiqueue");
+}
+
+TEST(SimDesignsUnit, NamesAreUniqueAndBuildThemselves)
+{
+    std::set<std::string> names;
+    for (const SimDesignEntry &design : simDesigns()) {
+        EXPECT_TRUE(names.insert(design.name).second)
+            << "duplicate design name " << design.name;
+        EXPECT_STREQ(makeDesign(design.name)->name(), design.name);
+    }
 }
 
 TEST(SimDesignsUnit, UnknownDesignIsFatal)

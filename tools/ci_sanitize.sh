@@ -90,7 +90,7 @@ supervisor_chaos() {
     local builddir=$1
     "$builddir"/tools/hdcps_soak --runs 10 --seed 41 --threads 4 \
         --budget-ms 60000 --supervisor-slice 1 --service-slice 0 \
-        --designs hdcps-sw,swminnow,multiqueue
+        --fairness-slice 0 --designs hdcps-sw,swminnow,multiqueue
     "$builddir"/tools/hdcps_cli --kernel sssp --input cage \
         --design hdcps-sw --job-stream 8 --rate 1000 --threads 4 \
         --supervise --max-restarts 8 --dead-letter --job-retries 3 \
@@ -187,7 +187,7 @@ topology_soak() {
         --designs hdcps-sw,hdcps-srq,hdcps-mq
     "$builddir"/tools/hdcps_soak --runs 6 --seed 67 --threads 4 \
         --budget-ms 45000 --topology 2x2 --supervisor-slice 1 \
-        --service-slice 0 --designs hdcps-sw,hdcps-mq
+        --service-slice 0 --fairness-slice 0 --designs hdcps-sw,hdcps-mq
 }
 
 for preset in "${presets[@]}"; do

@@ -30,12 +30,7 @@
 #include <vector>
 
 #include "algos/workload.h"
-#include "core/hdcps.h"
-#include "cps/multiqueue.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/designs.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "obs/export.h"
@@ -356,40 +351,17 @@ loadInput(const Options &options)
 std::unique_ptr<Scheduler>
 makeThreaded(const Options &options, unsigned sampleInterval)
 {
-    const unsigned t = options.threads;
-    if (options.design == "reld")
-        return std::make_unique<ReldScheduler>(t, options.seed);
-    if (options.design == "multiqueue")
-        return std::make_unique<MultiQueueScheduler>(t, 2, options.seed);
-    if (options.design == "obim")
-        return std::make_unique<ObimScheduler>(t);
-    if (options.design == "pmod")
-        return std::make_unique<PmodScheduler>(t);
-    if (options.design == "swminnow")
-        return std::make_unique<SwMinnowScheduler>(t);
-    if (options.design == "hdcps-srq") {
-        HdCpsConfig config = HdCpsScheduler::configSrq();
-        config.sampleInterval = sampleInterval;
-        config.topology = options.topology;
-        return std::make_unique<HdCpsScheduler>(t, config);
+    const DesignEntry *design = findThreadedDesign(options.design);
+    if (!design) {
+        hdcps_fatal("design '%s' is not available in --mode threads "
+                    "(threaded designs: %s; hardware designs need "
+                    "--mode sim)",
+                    options.design.c_str(), threadedDesignNames().c_str());
     }
-    if (options.design == "hdcps-sw") {
-        HdCpsConfig config = HdCpsScheduler::configSw();
-        config.sampleInterval = sampleInterval;
-        config.topology = options.topology;
-        return std::make_unique<HdCpsScheduler>(t, config);
-    }
-    if (options.design == "hdcps-mq") {
-        // HD-CPS:SW mechanisms over the relaxed MultiQueue local PQ.
-        HdCpsConfig config = HdCpsMqScheduler::configSw();
-        config.sampleInterval = sampleInterval;
-        config.seed = options.seed;
-        config.topology = options.topology;
-        return std::make_unique<HdCpsMqScheduler>(t, config);
-    }
-    hdcps_fatal("design '%s' is not available in --mode threads "
-                "(hardware designs need --mode sim)",
-                options.design.c_str());
+    return design->make(options.threads,
+                        {.seed = options.seed,
+                         .topology = options.topology,
+                         .sampleInterval = sampleInterval});
 }
 
 int
@@ -801,13 +773,11 @@ main(int argc, char **argv)
         std::cout << "kernels:";
         for (size_t i = 0; i < count; ++i)
             std::cout << " " << kernels[i];
-        const char *const *designs = designNames(count);
         std::cout << "\nsim designs:";
-        for (size_t i = 0; i < count; ++i)
-            std::cout << " " << designs[i];
-        std::cout << " hdcps-srq hdcps-srq-tdf hdcps-srq-tdf-ac"
-                  << "\nthreaded designs: reld multiqueue obim pmod "
-                     "swminnow hdcps-srq hdcps-sw hdcps-mq\n";
+        for (const SimDesignEntry &design : simDesigns())
+            std::cout << " " << design.name;
+        std::cout << "\nthreaded designs: " << threadedDesignNames(" ")
+                  << "\n";
         printFaultCatalog();
         return 0;
     }

@@ -36,12 +36,7 @@
 #include <vector>
 
 #include "algos/workload.h"
-#include "core/hdcps.h"
-#include "cps/multiqueue.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/designs.h"
 #include "cps/verifying_scheduler.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
@@ -147,11 +142,8 @@ parseUint(const char *flag, const char *text, uint64_t max)
     return parsed;
 }
 
-const char *const kDesigns[] = {"hdcps-sw",   "hdcps-srq", "hdcps-mq",
-                                "reld",       "multiqueue", "obim",
-                                "pmod",       "swminnow"};
-
-/** Parse a comma-separated --designs list against kDesigns. */
+/** Parse a comma-separated --designs list against the design
+ *  registry. */
 std::vector<std::string>
 parseDesignList(const char *text)
 {
@@ -162,15 +154,10 @@ parseDesignList(const char *text)
             item += *p;
             continue;
         }
-        bool known = false;
-        for (const char *design : kDesigns)
-            known = known || item == design;
-        if (!known) {
+        if (!findThreadedDesign(item)) {
             hdcps_fatal("--designs: unknown design '%s' (want a "
-                        "comma-separated subset of hdcps-sw, hdcps-srq, "
-                        "hdcps-mq, reld, multiqueue, obim, pmod, "
-                        "swminnow)",
-                        item.c_str());
+                        "comma-separated subset of %s)",
+                        item.c_str(), threadedDesignNames().c_str());
         }
         out.push_back(item);
         item.clear();
@@ -247,8 +234,8 @@ parseArgs(int argc, char **argv)
                 "--service-slice + --supervisor-slice + "
                 "--fairness-slice must not exceed 1");
     if (options.designs.empty()) {
-        options.designs.assign(std::begin(kDesigns),
-                               std::end(kDesigns));
+        for (const DesignEntry &design : threadedDesigns())
+            options.designs.push_back(design.name);
     }
     return options;
 }
@@ -433,31 +420,10 @@ drawScenario(Rng &rng, uint64_t runSeed, unsigned threads,
 }
 
 std::unique_ptr<Scheduler>
-makeDesign(const Scenario &s, unsigned threads,
-           const Topology &topology)
+makeScheduler(const Scenario &s, const Options &options)
 {
-    if (s.design == "reld")
-        return std::make_unique<ReldScheduler>(threads, s.seed);
-    if (s.design == "multiqueue")
-        return std::make_unique<MultiQueueScheduler>(threads, 2, s.seed);
-    if (s.design == "obim")
-        return std::make_unique<ObimScheduler>(threads);
-    if (s.design == "pmod")
-        return std::make_unique<PmodScheduler>(threads);
-    if (s.design == "swminnow")
-        return std::make_unique<SwMinnowScheduler>(threads);
-    if (s.design == "hdcps-mq") {
-        HdCpsConfig config = HdCpsMqScheduler::configSw();
-        config.seed = s.seed;
-        config.topology = topology;
-        return std::make_unique<HdCpsMqScheduler>(threads, config);
-    }
-    HdCpsConfig config = s.design == "hdcps-srq"
-                             ? HdCpsScheduler::configSrq()
-                             : HdCpsScheduler::configSw();
-    config.seed = s.seed;
-    config.topology = topology;
-    return std::make_unique<HdCpsScheduler>(threads, config);
+    return findThreadedDesign(s.design)->make(
+        options.threads, {.seed = s.seed, .topology = options.topology});
 }
 
 std::string
@@ -541,7 +507,7 @@ runScenario(const Scenario &s, const Options &options,
                     error.c_str());
     }
 
-    auto inner = makeDesign(s, options.threads, options.topology);
+    auto inner = makeScheduler(s, options);
     VerifyingScheduler verified(*inner);
     // Armed single-writer checker: any scheduler/helper thread writing
     // another worker's metric slot mid-write is a conformance failure,
@@ -684,7 +650,7 @@ runServiceScenario(const Scenario &s, const Options &options,
                     error.c_str());
     }
 
-    auto inner = makeDesign(s, options.threads, options.topology);
+    auto inner = makeScheduler(s, options);
     VerifyingScheduler verified(*inner);
     MetricsRegistry::Config metricsConfig;
     metricsConfig.checkSingleWriter = true;
@@ -878,7 +844,7 @@ runSupervisorScenario(const Scenario &s, const Options &options,
                     error.c_str());
     }
 
-    auto inner = makeDesign(s, options.threads, options.topology);
+    auto inner = makeScheduler(s, options);
     VerifyingScheduler verified(*inner);
     MetricsRegistry::Config metricsConfig;
     metricsConfig.checkSingleWriter = true;
@@ -1034,7 +1000,7 @@ runFairnessScenario(const Scenario &s, const Options &options,
                     error.c_str());
     }
 
-    auto inner = makeDesign(s, options.threads, options.topology);
+    auto inner = makeScheduler(s, options);
     VerifyingScheduler verified(*inner);
     MetricsRegistry::Config metricsConfig;
     metricsConfig.checkSingleWriter = true;
