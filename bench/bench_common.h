@@ -15,10 +15,12 @@
 #ifndef HDCPS_BENCH_BENCH_COMMON_H_
 #define HDCPS_BENCH_BENCH_COMMON_H_
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,13 +74,31 @@ sweepCombos()
     };
 }
 
+/** Positive whole number from environment variable `name`, or
+ *  `fallback` when it is unset. Anything else — empty, non-numeric,
+ *  zero, or above UINT_MAX — exits with a message naming the variable
+ *  rather than running with a garbage value (HDCPS_BENCH_REPS=0 would
+ *  make simulateMean divide zero by zero). */
 inline unsigned
 envUnsigned(const char *name, unsigned fallback)
 {
     const char *value = std::getenv(name);
     if (!value)
         return fallback;
-    return static_cast<unsigned>(std::strtoul(value, nullptr, 10));
+    bool digits = *value != '\0';
+    for (const char *c = value; *c; ++c)
+        digits = digits && *c >= '0' && *c <= '9';
+    errno = 0;
+    unsigned long long parsed =
+        digits ? std::strtoull(value, nullptr, 10) : 0;
+    if (errno == ERANGE || parsed == 0 ||
+        parsed > std::numeric_limits<unsigned>::max()) {
+        std::cerr << "FATAL: " << name << "='" << value
+                  << "': expected a whole number from 1 to "
+                  << std::numeric_limits<unsigned>::max() << "\n";
+        std::exit(1);
+    }
+    return static_cast<unsigned>(parsed);
 }
 
 inline unsigned

@@ -325,7 +325,7 @@ ExecutorService::ExecutorService(Scheduler &sched,
     for (const auto &[id, quota] : options_.tenants) {
         hdcps_check(quota.weight > 0.0,
                     "tenant %u: weight must be > 0", id);
-        auto state = std::make_unique<TenantState>();
+        auto state = std::make_unique<TenantState>(options_.numThreads);
         state->id = id;
         state->quota = quota;
         state->bucket.configure(quota.admitRatePerSec,
@@ -431,7 +431,8 @@ ExecutorService::submit(JobSpec spec)
         tenantCap = ts.quota.maxQueuedJobs;
 
         auto globalFull = [&] {
-            return queuedJobs_ >= options_.admissionCapacity;
+            return queuedJobs_.load(std::memory_order_relaxed) >=
+                   options_.admissionCapacity;
         };
         auto tenantFull = [&] {
             return ts.quota.maxQueuedJobs != 0 &&
@@ -479,7 +480,7 @@ ExecutorService::submit(JobSpec spec)
                     if (ts.backlog.size() == 1)
                         ts.headStart =
                             std::max(vtime_, ts.virtualFinish);
-                    ++queuedJobs_;
+                    queuedJobs_.fetch_add(1, std::memory_order_relaxed);
                     ts.admitted++;
                     admittedNow = true;
                 } else {
@@ -534,7 +535,7 @@ ExecutorService::tenantStateLocked(TenantId id)
 {
     auto it = tenants_.find(id);
     if (it == tenants_.end()) {
-        auto state = std::make_unique<TenantState>();
+        auto state = std::make_unique<TenantState>(options_.numThreads);
         state->id = id;
         state->bucket.configure(0.0, 1.0, nowNs());
         it = tenants_.emplace(id, std::move(state)).first;
@@ -542,45 +543,97 @@ ExecutorService::tenantStateLocked(TenantId id)
     return *it->second;
 }
 
+namespace {
+
+/** Single-writer bump of a per-worker slot (TenantState::WorkerSlot).
+ *  The release store pairs with the summing readers' acquire loads. */
+void
+bumpSlot(std::atomic<uint64_t> &slot, uint64_t n)
+{
+    slot.store(slot.load(std::memory_order_relaxed) + n,
+               std::memory_order_release);
+}
+
+} // namespace
+
+uint64_t
+ExecutorService::TenantState::inFlightTasks() const
+{
+    uint64_t done = 0;
+    for (const WorkerSlot &s : slots)
+        done += s.completed.load(std::memory_order_acquire);
+    uint64_t made = 0;
+    for (const WorkerSlot &s : slots)
+        made += s.created.load(std::memory_order_acquire);
+    return made - done;
+}
+
+uint64_t
+ExecutorService::TenantState::tasksProcessed() const
+{
+    uint64_t n = 0;
+    for (const WorkerSlot &s : slots)
+        n += s.processed.load(std::memory_order_relaxed);
+    return n;
+}
+
 void
 ExecutorService::noteTasksCreated(Record &record, unsigned tid,
                                   uint64_t n)
 {
+    // tenantState is set at submit, before any task of the job exists.
+    bumpSlot(record.tenantState->slots[tid].created, n);
     record.term.noteCreated(tid, n);
-    inFlightTasks_.fetch_add(n, std::memory_order_relaxed);
-    if (record.tenantState) {
-        record.tenantState->inFlightTasks.fetch_add(
-            n, std::memory_order_relaxed);
-    }
 }
 
 void
-ExecutorService::noteTaskCompleted(Record &record, unsigned tid)
+ExecutorService::noteTaskCompleted(Record &record, unsigned tid,
+                                   bool processed)
 {
+    // The tenant slots are bumped before the ledger's release
+    // increment, so whoever observes the job quiescent (and every
+    // thread it then publishes the terminal state to) also sees them:
+    // the tenant counts are exact once its jobs are terminal.
+    TenantState::WorkerSlot &slot = record.tenantState->slots[tid];
+    if (processed)
+        bumpSlot(slot.processed, 1);
+    bumpSlot(slot.completed, 1);
     record.term.noteCompleted(tid);
-    inFlightTasks_.fetch_sub(1, std::memory_order_relaxed);
-    if (record.tenantState) {
-        record.tenantState->inFlightTasks.fetch_sub(
-            1, std::memory_order_relaxed);
-    }
+}
+
+ExecutorService::RecordPtr
+ExecutorService::findJob(JobId job) const
+{
+    std::shared_lock<std::shared_mutex> lock(jobsMutex_);
+    auto it = jobs_.find(job);
+    return it != jobs_.end() ? it->second : nullptr;
 }
 
 bool
 ExecutorService::adoptOne(unsigned tid)
 {
+    // Every worker calls this once per loop iteration, so the common
+    // empty case must not touch admitMutex_. A stale 0 only delays
+    // adoption by one iteration: the idle sleep in workerLoop re-checks
+    // queuedJobs_ under the lock, so no submit's wake-up is lost.
+    if (queuedJobs_.load(std::memory_order_relaxed) == 0)
+        return false;
     RecordPtr record;
     {
         std::lock_guard<std::mutex> lock(admitMutex_);
-        if (queuedJobs_ == 0)
+        if (queuedJobs_.load(std::memory_order_relaxed) == 0)
             return false;
         // Global in-flight budget: at saturation dispatch is the
         // bottleneck, so the SFQ pick below governs the completed-task
         // share. (A dispatched job may overshoot the budget with its
         // whole seed batch; the gate only delays *further* jobs.)
-        if (options_.maxInFlightTasks != 0 &&
-            inFlightTasks_.load(std::memory_order_acquire) >=
-                options_.maxInFlightTasks)
-            return false;
+        if (options_.maxInFlightTasks != 0) {
+            uint64_t inFlight = 0;
+            for (const auto &[id, state] : tenants_)
+                inFlight += state->inFlightTasks();
+            if (inFlight >= options_.maxInFlightTasks)
+                return false;
+        }
         // Start-time fair queueing: each backlogged, quota-eligible
         // tenant bids with its FROZEN head start tag (stamped when the
         // job reached the head of the tenant's backlog — at admission
@@ -609,8 +662,7 @@ ExecutorService::adoptOne(unsigned tid)
             if (ts.backlog.empty())
                 continue;
             if (ts.quota.maxInFlightTasks != 0 &&
-                ts.inFlightTasks.load(std::memory_order_relaxed) >=
-                    ts.quota.maxInFlightTasks)
+                ts.inFlightTasks() >= ts.quota.maxInFlightTasks)
                 continue;
             // Head cost is read live (a higher-priority job may have
             // displaced the head since promotion); the start tag is
@@ -629,7 +681,7 @@ ExecutorService::adoptOne(unsigned tid)
         auto it = best->backlog.begin();
         record = it->second;
         best->backlog.erase(it);
-        --queuedJobs_;
+        queuedJobs_.fetch_sub(1, std::memory_order_relaxed);
         // The global clock tracks the served start tag, monotonically
         // (a frozen tag can lag vtime_ when the tenant sat quota-gated
         // — served late must not drag the clock backwards).
@@ -669,16 +721,17 @@ ExecutorService::adoptOne(unsigned tid)
             t.priority += Priority(level) * record->demotePenalty;
         }
     }
-    if (!seeds.empty()) {
-        noteTasksCreated(*record, tid, seeds.size());
-        constexpr size_t chunk = 256;
-        for (size_t i = 0; i < seeds.size(); i += chunk) {
-            size_t n = std::min(chunk, seeds.size() - i);
-            sched_.pushBatch(tid, seeds.data() + i, n);
-        }
+    if (seeds.empty()) {
+        // A job admitted with zero seed tasks is already quiescent.
+        maybeFinishJob(record);
+        return true;
     }
-    // A job admitted with zero seed tasks is already quiescent.
-    maybeFinishJob(record);
+    noteTasksCreated(*record, tid, seeds.size());
+    constexpr size_t chunk = 256;
+    for (size_t i = 0; i < seeds.size(); i += chunk) {
+        size_t n = std::min(chunk, seeds.size() - i);
+        sched_.pushBatch(tid, seeds.data() + i, n);
+    }
     return true;
 }
 
@@ -723,14 +776,16 @@ ExecutorService::handleTaskFailure(unsigned tid,
         Task again = task;
         again.attempt =
             packAttempt(tries + 1, demoteStampOf(task.attempt));
-        noteTasksCreated(*record, tid, 1);
-        sched_.push(tid, again);
-        noteTaskCompleted(*record, tid);
         taskRetries_.fetch_add(1, std::memory_order_relaxed);
         if (options_.metrics)
             options_.metrics->add(tid, WorkerCounter::TaskRetries);
-        // No finish attempt: the retried incarnation is outstanding,
-        // so the job cannot be quiescent.
+        // Complete-before-push, and no finish attempt: the retry is
+        // counted created, so the job is not quiescent here, and a
+        // peer that pops and completes it already sees this
+        // completion in its scan.
+        noteTasksCreated(*record, tid, 1);
+        noteTaskCompleted(*record, tid);
+        sched_.push(tid, again);
         return;
     }
     if (record->retry.deadLetterOnExhaustion) {
@@ -797,14 +852,14 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
         again.priority = task.priority +
                          Priority(level - stamp) *
                              record->demotePenalty;
-        noteTasksCreated(*record, tid, 1);
-        sched_.push(tid, again);
-        noteTaskCompleted(*record, tid);
         demotedTasks_.fetch_add(1, std::memory_order_relaxed);
         if (options_.metrics)
             options_.metrics->add(tid, WorkerCounter::DemotedTasks);
-        // No finish attempt: the re-tagged incarnation is outstanding,
-        // so the job cannot be quiescent.
+        // Complete-before-push, and no finish attempt: as on the
+        // retry path.
+        noteTasksCreated(*record, tid, 1);
+        noteTaskCompleted(*record, tid);
+        sched_.push(tid, again);
         return;
     }
 
@@ -846,20 +901,18 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
         if (level != 0)
             c.priority += Priority(level) * record->demotePenalty;
     }
-    if (!children.empty()) {
-        // Created before poppable — same ordering the executor's
-        // run-level counters rely on, now per job.
-        noteTasksCreated(*record, tid, children.size());
-        sched_.pushBatch(tid, children.data(), children.size());
-    }
-    noteTaskCompleted(*record, tid);
-    if (record->tenantState) {
-        record->tenantState->tasksProcessed.fetch_add(
-            1, std::memory_order_relaxed);
-    }
     if (options_.metrics)
         options_.metrics->add(tid, WorkerCounter::TasksProcessed);
-    maybeFinishJob(record);
+    if (children.empty()) {
+        noteTaskCompleted(*record, tid, /*processed=*/true);
+        maybeFinishJob(record);
+        return;
+    }
+    // Complete-before-push: the children are counted created, so this
+    // completion cannot make the job quiescent and needs no scan.
+    noteTasksCreated(*record, tid, children.size());
+    noteTaskCompleted(*record, tid, /*processed=*/true);
+    sched_.pushBatch(tid, children.data(), children.size());
 }
 
 void
@@ -891,6 +944,13 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
     std::vector<Task> children;
     children.reserve(64);
     IdleBackoff backoff;
+    // Per-worker job-record cache, keyed by Task::job. A hit takes no
+    // lock and copies no shared_ptr. It is always the right record:
+    // job ids are never reused, and a popped task's job is live
+    // (records leave jobs_ only once quiescent, and a task in the
+    // scheduler is created-but-not-completed). Dropped when the worker
+    // goes idle so a finished job's ProcessFn captures are not pinned.
+    RecordPtr cached;
 
     while (true) {
         if (supervisor_) {
@@ -943,35 +1003,31 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
             if (shutdown_.load(std::memory_order_acquire) &&
                 activeJobs_.load(std::memory_order_acquire) == 0)
                 break;
-            if (backoff.idle() &&
-                activeJobs_.load(std::memory_order_acquire) == 0) {
-                // Truly idle service: no admitted jobs at all, so no
-                // tasks can appear except through submit (which
-                // notifies). Sleep briefly instead of spinning.
-                std::unique_lock<std::mutex> lock(admitMutex_);
-                if (queuedJobs_ == 0 &&
-                    !shutdown_.load(std::memory_order_acquire)) {
-                    work_.wait_for(lock,
-                                   std::chrono::milliseconds(1));
+            if (backoff.idle()) {
+                cached.reset();
+                if (activeJobs_.load(std::memory_order_acquire) == 0) {
+                    // Truly idle service: no admitted jobs at all, so
+                    // no tasks can appear except through submit (which
+                    // notifies). Sleep briefly instead of spinning.
+                    std::unique_lock<std::mutex> lock(admitMutex_);
+                    if (queuedJobs_.load(std::memory_order_relaxed) ==
+                            0 &&
+                        !shutdown_.load(std::memory_order_acquire)) {
+                        work_.wait_for(lock,
+                                       std::chrono::milliseconds(1));
+                    }
                 }
             }
             continue;
         }
         backoff.reset();
 
-        RecordPtr record;
-        {
-            std::shared_lock<std::shared_mutex> lock(jobsMutex_);
-            auto it = jobs_.find(task.job);
-            if (it != jobs_.end())
-                record = it->second;
+        if (cached == nullptr || cached->id != task.job) {
+            cached = findJob(task.job);
+            hdcps_check(cached != nullptr,
+                        "popped task for unknown job %u", task.job);
         }
-        // A popped task's job must be live: records are erased only
-        // once quiescent, and a task in the scheduler is
-        // created-but-not-completed by definition.
-        hdcps_check(record != nullptr,
-                    "popped task for unknown job %u", task.job);
-        processTask(tid, record, task, children);
+        processTask(tid, cached, task, children);
     }
 }
 
@@ -1012,7 +1068,7 @@ ExecutorService::terminateJob(const RecordPtr &record, JobState verdict,
             wasQueued = record->tenantState->backlog.erase(
                             {record->priority, record->id}) > 0;
             if (wasQueued)
-                --queuedJobs_;
+                queuedJobs_.fetch_sub(1, std::memory_order_relaxed);
         }
     }
     if (wasQueued) {
@@ -1040,8 +1096,8 @@ ExecutorService::maybeFinishJob(const RecordPtr &record)
 {
     // Per-job quiescence: same completed-first two-pass scan the
     // executor uses for run-level termination (worker_common.h), over
-    // this job's ledger only. Cost is 2 * numThreads cache-line loads
-    // per completion — acceptable for a robustness-first service.
+    // this job's ledger only. Completion paths call it only when the
+    // completion pushed nothing (the complete-before-push rule).
     if (!record->term.quiescent())
         return;
     JobState expected = record->state.load(std::memory_order_acquire);
@@ -1214,10 +1270,7 @@ ExecutorService::recordTenantSeries()
                 ts.backlogSeries =
                     options_.metrics->customSeries(base + ".backlog");
             }
-            rows.push_back(
-                {&ts,
-                 ts.tasksProcessed.load(std::memory_order_relaxed),
-                 ts.backlog.size()});
+            rows.push_back({&ts, ts.tasksProcessed(), ts.backlog.size()});
         }
     }
     // Record outside the admission lock: TenantState addresses are
@@ -1367,13 +1420,7 @@ ExecutorService::escalateService(unsigned tid)
     // must still reach their pop so every job's ledger balances.
     Task task;
     while (sched_.tryPop(tid, task)) {
-        RecordPtr record;
-        {
-            std::shared_lock<std::shared_mutex> lock(jobsMutex_);
-            auto it = jobs_.find(task.job);
-            if (it != jobs_.end())
-                record = it->second;
-        }
+        RecordPtr record = findJob(task.job);
         hdcps_check(record != nullptr,
                     "popped task for unknown job %u", task.job);
         tasksDrained_.fetch_add(1, std::memory_order_relaxed);
@@ -1453,11 +1500,9 @@ ExecutorService::tenantStats() const
         s.rejected = ts.rejected;
         s.jobsCompleted =
             ts.jobsCompleted.load(std::memory_order_relaxed);
-        s.tasksProcessed =
-            ts.tasksProcessed.load(std::memory_order_relaxed);
+        s.tasksProcessed = ts.tasksProcessed();
         s.queuedJobs = ts.backlog.size();
-        s.inFlightTasks =
-            ts.inFlightTasks.load(std::memory_order_relaxed);
+        s.inFlightTasks = ts.inFlightTasks();
         s.virtualFinish = ts.virtualFinish;
         out.push_back(s);
     }

@@ -480,14 +480,43 @@ class ExecutorService
 
     /**
      * One tenant's fair-queueing state. Structure (backlog, clocks,
-     * bucket, plain counters) is guarded by admitMutex_; the atomics
-     * are touched on the per-task hot path without it. Stored behind
-     * stable unique_ptrs: JobRecords keep a raw pointer for inflight
-     * accounting, and tenants are never erased while the service
-     * lives.
+     * bucket, plain counters) is guarded by admitMutex_; the per-worker
+     * task slots are written on the per-task hot path without it.
+     * Stored behind stable unique_ptrs: JobRecords keep a raw pointer
+     * for in-flight accounting, and tenants are never erased while the
+     * service lives.
      */
     struct TenantState
     {
+        /**
+         * One worker's share of the tenant's task accounting, on its
+         * own cache line. Only the thread driving slot `tid` writes it
+         * (a healed slot's replacement starts after the join), so a
+         * bump is a relaxed load plus a release store, not an RMW on a
+         * line every worker fights over. Readers sum the slots.
+         */
+        struct alignas(cacheLineBytes) WorkerSlot
+        {
+            std::atomic<uint64_t> created{0};
+            std::atomic<uint64_t> completed{0};
+            std::atomic<uint64_t> processed{0}; ///< ProcessFn returned
+        };
+
+        explicit TenantState(unsigned numSlots) : slots(numSlots) {}
+
+        /**
+         * Created-but-not-completed tasks, read completed-first like
+         * TerminationCounters::quiescentOnce: never less than the true
+         * count at the instant the completed pass ends, and exact once
+         * the tenant is quiescent. It can over-count by the tasks
+         * created during the scan, so a gate reading it errs toward
+         * delaying a dispatch.
+         */
+        uint64_t inFlightTasks() const;
+
+        /** Successful ProcessFn completions so far. */
+        uint64_t tasksProcessed() const;
+
         TenantId id = 0;
         TenantQuota quota;
         /** Backlog ordered by (job priority, id): strict priority +
@@ -504,9 +533,8 @@ class ExecutorService
         uint64_t submitted = 0;
         uint64_t admitted = 0;
         uint64_t rejected = 0;
-        std::atomic<uint64_t> inFlightTasks{0};
         std::atomic<uint64_t> jobsCompleted{0};
-        std::atomic<uint64_t> tasksProcessed{0};
+        std::vector<WorkerSlot> slots; ///< one per worker thread
         /** Deadline-monitor-only sampling state for the per-tenant
          *  share/backlog series. */
         int shareSeries = -1;
@@ -550,8 +578,15 @@ class ExecutorService
      *  on behalf of record's job (before they become poppable). */
     void noteTasksCreated(Record &record, unsigned tid, uint64_t n);
 
-    /** Ledger + in-flight accounting for one completed task. */
-    void noteTaskCompleted(Record &record, unsigned tid);
+    /** Ledger + in-flight accounting for one completed task;
+     *  `processed` when its ProcessFn returned normally. Call before
+     *  pushing what the task created (see maybeFinishJob). */
+    void noteTaskCompleted(Record &record, unsigned tid,
+                           bool processed = false);
+
+    /** The live record for `job`, looked up under jobsMutex_ (null
+     *  when the job is not in the table). */
+    RecordPtr findJob(JobId job) const;
 
     /** Record per-tenant share/backlog series (deadline monitor only,
      *  every ~10ms). */
@@ -576,8 +611,14 @@ class ExecutorService
     bool terminateJob(const RecordPtr &record, JobState verdict,
                       const std::string &message, bool widenCancelRace);
 
-    /** Terminal-transition attempt: if the job is quiescent, CAS it to
-     *  its terminal state, record latency, wake waiters. */
+    /**
+     * Terminal-transition attempt: if the job is quiescent, CAS it to
+     * its terminal state, record latency, wake waiters. Completion
+     * paths call it only when they pushed nothing: a worker counts its
+     * task completed before it pushes what the task created, so only
+     * such a completion can make a job quiescent (soundness argument
+     * on TerminationCounters::quiescentOnce).
+     */
     void maybeFinishJob(const RecordPtr &record);
 
     /** One-time terminal bookkeeping (state already stored). */
@@ -589,8 +630,9 @@ class ExecutorService
     Scheduler &sched_;
     ServiceOptions options_;
 
-    /** Job table: every admitted, non-terminal job by id. Read on the
-     *  per-task hot path (shared), written on admit/finish. */
+    /** Job table: every admitted, non-terminal job by id. Written on
+     *  admit/finish; read by the deadline monitor, escalation, and a
+     *  worker whose job-record cache missed (workerLoop). */
     mutable std::shared_mutex jobsMutex_;
     std::unordered_map<JobId, RecordPtr> jobs_;
 
@@ -604,7 +646,9 @@ class ExecutorService
     mutable std::mutex admitMutex_;
     std::map<TenantId, std::unique_ptr<TenantState>> tenants_;
     double vtime_ = 0.0;
-    size_t queuedJobs_ = 0; ///< total backlog across tenants
+    /** Total backlog across tenants. Written only under admitMutex_;
+     *  adoptOne's empty check reads it without the lock. */
+    std::atomic<size_t> queuedJobs_{0};
     std::condition_variable admitSpace_; ///< blocked submitters
     std::condition_variable work_;       ///< idle workers
 
@@ -627,9 +671,6 @@ class ExecutorService
     std::atomic<uint64_t> poisonedTasks_{0};
     std::atomic<uint64_t> demotedTasks_{0};
     std::atomic<uint64_t> autoDemotedJobs_{0};
-    /** Created-but-not-completed tasks across all jobs (the
-     *  maxInFlightTasks dispatch gate). */
-    std::atomic<uint64_t> inFlightTasks_{0};
 
     /** Latencies of terminal (non-rejected) jobs, ms. The mutex also
      *  serializes JobLatencyMs recordGlobal writers. */

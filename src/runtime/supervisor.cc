@@ -69,7 +69,7 @@ WorkerSupervisor::poll(unsigned tid, uint64_t nowNs)
     }
 
     const uint64_t hb =
-        life.heartbeatNs.load(std::memory_order_relaxed);
+        life.heartbeatNs.load(std::memory_order_acquire);
     if (hb == 0 || nowNs <= hb)
         return Decision::None; // not yet started, or clock skew
     const uint64_t staleNs = nowNs - hb;

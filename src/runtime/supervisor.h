@@ -109,13 +109,13 @@ class WorkerSupervisor
 
     // ---- worker-thread API -------------------------------------------
 
-    /** Publish liveness; call at every loop top. Relaxed — one padded
-     *  store, same budget as the HD-CPS sRQ heartbeat. */
+    /** Publish liveness; call at every loop top. One padded release
+     *  store (WorkerLifeline::heartbeatNs says why release). */
     void
     beat(unsigned tid, uint64_t nowNs)
     {
         slots_[tid]->lifeline.heartbeatNs.store(
-            nowNs, std::memory_order_relaxed);
+            nowNs, std::memory_order_release);
     }
 
     /** True once the supervisor superseded this incarnation: the

@@ -43,8 +43,8 @@ namespace hdcps {
  * Distributed termination state: per-worker monotone counters of tasks
  * created (seeds + children, bumped by the creating worker *before*
  * the push makes them poppable) and tasks completed (bumped with
- * release order after the task's children were pushed — or after its
- * failure was latched). Each worker only ever writes its own
+ * release order after the task's children were counted created — or
+ * after its failure was latched). Each worker only ever writes its own
  * cache-line-padded slot, so the per-task cost is two uncontended RMWs
  * instead of two fetch_adds on one global in-flight counter that every
  * core fights over.
@@ -73,7 +73,9 @@ class TerminationCounters
     }
 
     /** Count one task completed by slot `tid`. Call *after* its
-     *  children were pushed (or its failure latched). */
+     *  children were counted created (or its failure latched). The
+     *  executor pushes them first; the service pushes them after
+     *  (complete-before-push, see quiescentOnce). */
     void
     noteCompleted(unsigned tid)
     {
@@ -99,6 +101,28 @@ class TerminationCounters
      * release increments, so a detector that observes a completion
      * also observes every child that completion created (created is
      * bumped before completed).
+     *
+     * Where to scan (the service's complete-before-push rule): a
+     * worker that pops task T counts T's k children created, then T
+     * completed, and only then pushes them. Created >= completed still
+     * holds at every instant (each child is counted before it is
+     * poppable). If k > 0, the instant right after T's completion has
+     * the k children created but not completed — they cannot complete
+     * before the push — so T's completion did not make the job
+     * quiescent. Quiescence is reached at some completion (the counts
+     * only balance when one lands), so it is reached at a completion
+     * with k == 0, and the worker that performs it scans after its own
+     * increment. When several workers complete a job's last tasks at
+     * once, each of them scans; the increments are locked RMWs (full
+     * fences on x86), so the scan that follows the later increment
+     * reads both and sees the balance. Scans after completions with
+     * k > 0 can never succeed and are skipped.
+     *
+     * The order matters: under create -> push -> complete, a peer can
+     * pop and complete a child before its parent is counted
+     * completed; the peer's scan then misses the parent's completion,
+     * the parent's completion skips its scan, and the job is never
+     * found quiescent.
      */
     bool
     quiescentOnce() const
@@ -218,7 +242,7 @@ class FailureLatch
 
 /**
  * Per-worker lifeline shared between a worker thread and its
- * supervisor (runtime/supervisor.h): a relaxed heartbeat the worker
+ * supervisor (runtime/supervisor.h): a heartbeat the worker
  * publishes every loop iteration, a slot epoch the supervisor bumps to
  * supersede a wedged thread, and an exit latch that catches *anything*
  * leaving the worker loop — a crash drill, an escaped exception, or a
@@ -227,8 +251,13 @@ class FailureLatch
  */
 struct alignas(cacheLineBytes) WorkerLifeline
 {
-    /** Monotonic ns of the worker's last loop-top visit (relaxed —
-     *  freshness only, exactly like the HD-CPS sRQ heartbeats). */
+    /** Monotonic ns of the worker's last loop-top visit. Release
+     *  store, acquire load: a worker beats holding no task, after its
+     *  previous iteration's pushes, so a supervisor that reads the
+     *  last beat of a wedged worker also sees everything that worker
+     *  wrote into the scheduler before it — the wedge-time reclaim
+     *  reads the victim's buffers with no other synchronization. Both
+     *  are plain moves on x86. */
     std::atomic<uint64_t> heartbeatNs{0};
     /** Slot incarnation. A worker captures the epoch at spawn and
      *  exits at the next loop top once the supervisor bumped it

@@ -12,6 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -473,6 +476,231 @@ TEST(Service, RetriesExhaustedFailTheJob)
     ServiceStats stats = svc.stats();
     EXPECT_EQ(stats.failed, 1u);
     EXPECT_EQ(stats.taskRetries, 1u); // first attempt was retried once
+}
+
+/**
+ * FIFO scheduler (one mutex, one deque) whose push of a re-pushed
+ * incarnation — attempt word != 0, i.e. a retry or a demote re-tag —
+ * sleeps after enqueueing it. A peer worker can then pop and complete
+ * that incarnation while the pushing worker is still inside push().
+ * Pops return nothing while `open` is false.
+ */
+class SlowRepushScheduler : public Scheduler
+{
+  public:
+    explicit SlowRepushScheduler(unsigned numWorkers)
+        : Scheduler(numWorkers)
+    {}
+
+    void
+    push(unsigned, const Task &task) override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            queue_.push_back(task);
+        }
+        pushes.fetch_add(1, std::memory_order_acq_rel);
+        if (task.attempt != 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+
+    bool
+    tryPop(unsigned, Task &out) override
+    {
+        if (!open.load(std::memory_order_acquire))
+            return false;
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (queue_.empty())
+            return false;
+        out = queue_.front();
+        queue_.pop_front();
+        return true;
+    }
+
+    const char *name() const override { return "slow-repush"; }
+
+    std::atomic<bool> open{true};
+    std::atomic<uint64_t> pushes{0};
+
+  private:
+    std::mutex mutex_;
+    std::deque<Task> queue_;
+};
+
+/**
+ * Wait for `job` to finish. A job whose last completion was lost never
+ * finishes, and shutting down its service would then block forever, so
+ * on timeout the service and its scheduler are leaked: the test fails
+ * instead of hanging the suite.
+ */
+void
+expectFinishesOrLeak(JobHandle &job,
+                     std::unique_ptr<SlowRepushScheduler> &sched,
+                     std::unique_ptr<ExecutorService> &svc)
+{
+    JobState state = JobState::Running;
+    bool done = job.waitFor(2000, &state);
+    EXPECT_TRUE(done) << "job stuck in state " << jobStateName(job.state())
+                      << " with " << job.tasksCompleted()
+                      << " tasks completed";
+    if (!done) {
+        (void)svc.release();
+        (void)sched.release();
+        return;
+    }
+    EXPECT_EQ(state, JobState::Completed);
+    svc->shutdown();
+}
+
+TEST(Service, RetryCompletedByPeerStillFinishesJob)
+{
+    // Worker A's first attempt throws; A re-pushes the retry and stays
+    // inside push() while worker B pops the retry, processes it, and
+    // completes it. B's completion must see A's: A counts the failed
+    // incarnation completed before it pushes the retry. Otherwise B's
+    // quiescence scan finds the old incarnation open, A's later
+    // completion never scans, and the job stays Running forever.
+    auto sched = std::make_unique<SlowRepushScheduler>(2);
+    ServiceOptions options;
+    options.numThreads = 2;
+    auto svc = std::make_unique<ExecutorService>(*sched, options);
+
+    std::atomic<uint64_t> processed{0};
+    JobSpec spec;
+    spec.name = "retried-by-peer";
+    spec.process = [&processed](unsigned, const Task &task,
+                                std::vector<Task> &) {
+        if (retryAttemptOf(task.attempt) == 0)
+            throw FaultInjectedError("transient");
+        processed.fetch_add(1, std::memory_order_relaxed);
+    };
+    spec.initial = {Task{0, 1, 0}};
+    spec.retry.maxAttempts = 2;
+    spec.retry.backoffBaseUs = 0;
+    JobHandle job = svc->submit(std::move(spec));
+
+    expectFinishesOrLeak(job, sched, svc);
+    EXPECT_EQ(processed.load(), 1u);
+    EXPECT_EQ(job.tasksCompleted(), 2u);
+}
+
+TEST(Service, DemoteRetagCompletedByPeerStillFinishesJob)
+{
+    // The demote variant: the job is deprioritized after its seed is
+    // queued, so the first pop re-tags and re-pushes the seed, and the
+    // peer completes the re-tagged incarnation while the re-tagging
+    // worker is still inside push().
+    auto sched = std::make_unique<SlowRepushScheduler>(2);
+    sched->open.store(false, std::memory_order_release);
+    ServiceOptions options;
+    options.numThreads = 2;
+    auto svc = std::make_unique<ExecutorService>(*sched, options);
+
+    std::atomic<uint64_t> processed{0};
+    JobSpec spec;
+    spec.name = "retagged-by-peer";
+    spec.process = [&processed](unsigned, const Task &,
+                                std::vector<Task> &) {
+        processed.fetch_add(1, std::memory_order_relaxed);
+    };
+    spec.initial = {Task{0, 1, 0}};
+    JobHandle job = svc->submit(std::move(spec));
+    while (sched->pushes.load(std::memory_order_acquire) == 0)
+        std::this_thread::yield();
+    EXPECT_TRUE(job.deprioritize());
+    sched->open.store(true, std::memory_order_release);
+
+    expectFinishesOrLeak(job, sched, svc);
+    EXPECT_EQ(processed.load(), 1u);
+    EXPECT_EQ(job.tasksCompleted(), 2u);
+    EXPECT_EQ(svc == nullptr ? 0u : svc->stats().demotedTasks, 1u);
+}
+
+TEST(Service, TenantCountersExactAtQuiescence)
+{
+    // Per-worker tenant counters are summed on read; once every job is
+    // terminal the sums must be exact: nothing in flight, and one
+    // processed task per ProcessFn call that returned normally.
+    constexpr unsigned threads = 4;
+    MultiQueueScheduler sched(threads);
+    ServiceOptions options;
+    options.numThreads = threads;
+    options.admissionCapacity = 32;
+    ExecutorService svc(sched, options);
+
+    std::atomic<uint64_t> returned[3] = {};
+    auto counted = [&returned](TenantId tenant, ProcessFn inner) {
+        return [&returned, tenant, inner](unsigned tid, const Task &task,
+                                          std::vector<Task> &children) {
+            inner(tid, task, children);
+            returned[tenant].fetch_add(1, std::memory_order_relaxed);
+        };
+    };
+
+    std::atomic<uint64_t> treeTasks{0};
+    std::vector<JobHandle> jobs;
+    for (TenantId tenant : {1u, 2u}) {
+        for (uint32_t i = 0; i < 3; ++i) {
+            JobSpec spec;
+            spec.tenant = tenant;
+            spec.process = counted(tenant, treeJob(treeTasks));
+            spec.initial = {Task{0, i, 4}};
+            jobs.push_back(svc.submit(std::move(spec)));
+        }
+    }
+
+    // Tenant 1: every third task fails its first attempt.
+    JobSpec flaky;
+    flaky.name = "flaky";
+    flaky.tenant = 1;
+    flaky.process = counted(
+        1, [](unsigned, const Task &task, std::vector<Task> &children) {
+            if (task.node % 3 == 0 && retryAttemptOf(task.attempt) == 0)
+                throw FaultInjectedError("transient");
+            if (task.data > 0) {
+                for (uint32_t i = 0; i < 3; ++i) {
+                    children.push_back(Task{task.priority + 1,
+                                            task.node * 3 + i + 1,
+                                            task.data - 1});
+                }
+            }
+        });
+    flaky.initial = {Task{0, 0, 4}};
+    flaky.retry.maxAttempts = 3;
+    flaky.retry.backoffBaseUs = 10;
+    flaky.retry.backoffMaxUs = 50;
+    JobHandle flakyJob = svc.submit(std::move(flaky));
+
+    // Tenant 2: a long-lived job cancelled mid-run.
+    std::atomic<int64_t> budget{1000000};
+    std::atomic<uint64_t> longProcessed{0};
+    JobSpec endless;
+    endless.name = "endless";
+    endless.tenant = 2;
+    endless.process =
+        counted(2, replenishJob(budget, longProcessed, /*sleepUs=*/50));
+    endless.initial = {Task{0, 0, 0}, Task{0, 1000, 0},
+                       Task{0, 2000, 0}};
+    JobHandle endlessJob = svc.submit(std::move(endless));
+
+    while (longProcessed.load(std::memory_order_acquire) < 50)
+        std::this_thread::yield();
+    EXPECT_TRUE(endlessJob.cancel());
+
+    for (JobHandle &job : jobs)
+        EXPECT_EQ(job.wait(), JobState::Completed) << job.name();
+    EXPECT_EQ(flakyJob.wait(), JobState::Completed);
+    EXPECT_EQ(endlessJob.wait(), JobState::Cancelled);
+    EXPECT_GT(svc.stats().taskRetries, 0u);
+
+    std::vector<TenantStats> tenants = svc.tenantStats();
+    ASSERT_EQ(tenants.size(), 2u);
+    for (const TenantStats &ts : tenants) {
+        EXPECT_EQ(ts.inFlightTasks, 0u) << "tenant " << ts.tenant;
+        EXPECT_EQ(ts.tasksProcessed, returned[ts.tenant].load())
+            << "tenant " << ts.tenant;
+    }
+    EXPECT_EQ(returned[1].load(), 3 * treeSize(4) + treeSize(4));
 }
 
 TEST(Service, JobFailureIsolatesFromCoResidentJobs)

@@ -22,10 +22,10 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
-# Only the test binaries and the CLI (for cli_metrics_smoke) are
-# needed: skipping the bench/example targets roughly halves each
-# instrumented build.
-targets=(hdcps_cli hdcps_soak bench_micro_queues
+# Only the test binaries, the CLI (for cli_metrics_smoke) and the one
+# figure harness bench_rejects_zero_reps runs are needed: skipping the
+# other bench/example targets roughly halves each instrumented build.
+targets=(hdcps_cli hdcps_soak bench_micro_queues bench_fig7_queue_sizes
          test_support test_graph test_pq test_core test_obs test_sched
          test_conformance test_algos test_sim test_simdesigns
          test_stress test_simsched test_properties test_service)
@@ -121,6 +121,24 @@ fairness_chaos() {
         --tenants 3 --weights 4,2,1 --admit-cap 64 --seed 9 --csv
 }
 
+# Service chaos: pinned-seed scenario stream where every post-round-
+# robin run is a service slice: tree jobs, a cancelled job, a deadline
+# job and an admission burst on one ExecutorService, with svc.job.fail
+# retries armed, checked against the verifier's conservation ledger.
+# It guards the service's complete-before-push ordering (a worker
+# counts a task completed before it pushes the children or the retry
+# it created, and only childless completions scan for job
+# quiescence). A lost job completion leaves a wait() blocked and the
+# stage never finishes; a lost or duplicated task fails the ledger;
+# an overlapping metrics write aborts on the spot.
+service_chaos() {
+    local builddir=$1
+    "$builddir"/tools/hdcps_soak --runs 10 --seed 97 --threads 4 \
+        --budget-ms 60000 --service-slice 1 --supervisor-slice 0 \
+        --fairness-slice 0 --abort-on-writer-violation \
+        --designs hdcps-sw,multiqueue,swminnow
+}
+
 # Job-stream smoke: replay a bursty multi-tenant job stream through
 # the ExecutorService with admission backpressure, retries, and an
 # armed job-fault drill. Rejections are expected (capacity 4 under
@@ -209,6 +227,8 @@ for preset in "${presets[@]}"; do
     topology_soak "$builddir"
     echo "=== [$preset] fairness chaos ==="
     fairness_chaos "$builddir"
+    echo "=== [$preset] service chaos ==="
+    service_chaos "$builddir"
     echo "=== [$preset] job-stream smoke ==="
     service_stream_smoke "$builddir"
     echo "=== [$preset] bench smoke ==="
