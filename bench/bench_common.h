@@ -35,6 +35,10 @@
 #include "stats/table.h"
 #include "support/fault.h"
 
+#ifdef HDCPS_BENCH_PROVENANCE
+#include "provenance.h"
+#endif
+
 namespace hdcps::bench {
 
 /** One (kernel, input) point of the paper's evaluation. */
@@ -341,14 +345,27 @@ struct PerfGateResult
     std::map<std::string, double> counters;
 };
 
-/** Git revision baked in at configure time (see bench/CMakeLists.txt). */
+/** Git revision baked in at build time (see bench/CMakeLists.txt). */
 inline const char *
 gitRev()
 {
-#ifdef HDCPS_GIT_REV
-    return HDCPS_GIT_REV;
+#ifdef HDCPS_BENCH_PROVENANCE
+    return HDCPS_E2E_GIT_REV;
 #else
     return "unknown";
+#endif
+}
+
+/** Whether the built tree had uncommitted changes, as a JSON value:
+ *  true, false, or null outside a git checkout. */
+inline const char *
+gitDirtyJson()
+{
+#ifdef HDCPS_BENCH_PROVENANCE
+    const std::string dirty = HDCPS_E2E_GIT_DIRTY;
+    return dirty == "0" ? "false" : dirty == "1" ? "true" : "null";
+#else
+    return "null";
 #endif
 }
 
@@ -390,6 +407,7 @@ writePerfGateJson(const std::string &path,
     out << "{\n";
     out << "  \"schema\": \"hdcps-bench-micro-v1\",\n";
     out << "  \"git_rev\": \"" << jsonEscape(gitRev()) << "\",\n";
+    out << "  \"git_dirty\": " << gitDirtyJson() << ",\n";
     out << "  \"host_cores\": " << std::thread::hardware_concurrency()
         << ",\n";
     out << "  \"benchmarks\": [";

@@ -63,7 +63,7 @@ template <template <typename, typename> class LocalPqT>
 BasicHdCpsScheduler<LocalPqT>::BasicHdCpsScheduler(unsigned numWorkers,
                                                    const HdCpsConfig &config)
     : Scheduler(numWorkers), config_(config), drift_(numWorkers),
-      tdfController_(config.tdf), pool_(numWorkers)
+      pool_(numWorkers)
 {
     hdcps_check(numWorkers >= 1, "need at least one worker");
     hdcps_check(config.sampleInterval >= 1, "sample interval must be >= 1");
@@ -272,7 +272,7 @@ template <template <typename, typename> class LocalPqT>
 unsigned
 BasicHdCpsScheduler<LocalPqT>::currentTdf() const
 {
-    return config_.useTdf ? tdfController_.current() : config_.fixedTdf;
+    return config_.useTdf ? kHdCpsTdf : config_.fixedTdf;
 }
 
 template <template <typename, typename> class LocalPqT>
@@ -500,11 +500,11 @@ BasicHdCpsScheduler<LocalPqT>::chooseDest(unsigned tid, unsigned tdf)
     // two levels. The same factorized-draw trick supplies both rolls —
     // r % 100 is the TDF roll exactly as before, r / 100 decides
     // whether this remote send may cross node boundaries. The effective
-    // cross-node share either tracks the live TDF (the default
-    // kCrossNodeFollowTdf: low drift keeps remote traffic on-node, high
-    // drift widens its reach along with its rate) or is pinned by
-    // config for experiments. The destination itself is a third draw,
-    // uniform within the chosen peer group.
+    // cross-node share either tracks the TDF (the default
+    // kCrossNodeFollowTdf: a low TDF keeps remote traffic mostly
+    // on-node, a high one widens its reach along with its rate) or is
+    // pinned by config for experiments. The destination itself is a
+    // third draw, uniform within the chosen peer group.
     const uint64_t r = w.rng.below(uint64_t(100) * 100);
     if (static_cast<unsigned>(r % 100) >= tdf)
         return tid;
@@ -713,9 +713,7 @@ BasicHdCpsScheduler<LocalPqT>::pushBatch(unsigned tid, const Task *tasks, size_t
     if (count == 0)
         return;
     WorkerState &w = *workers_[tid];
-    // One TDF read per batch: the heuristic's output only changes on
-    // sample boundaries, so per-task reads just add an atomic load to
-    // the hottest path without changing any decision.
+    // One TDF read per batch: it is fixed for the scheduler's lifetime.
     const unsigned tdf = currentTdf();
     const bool guarded =
         reclaimAfterNs_.load(std::memory_order_relaxed) != 0;
@@ -1034,11 +1032,11 @@ BasicHdCpsScheduler<LocalPqT>::sampleNow(unsigned tid, Priority poppedPriority)
     if (!config_.useTdf)
         return;
 
-    // Algorithm 2 fires once a full round of reports has arrived (the
-    // paper's dedicated core updates "after receiving task priorities
-    // from all cores"), independent of any single worker's progress.
-    // The reduction is cheap and rare; a mutex keeps the controller's
-    // internal history consistent, and try_lock keeps the path
+    // A drift round closes once a full round of reports has arrived
+    // (the paper's dedicated core reduces "after receiving task
+    // priorities from all cores"), independent of any single worker's
+    // progress. The reduction is cheap and rare; a mutex keeps the
+    // drift series consistent, and try_lock keeps the path
     // non-blocking for everyone who loses the race.
     unsigned round = publishRound_.fetch_add(1,
                                              std::memory_order_acq_rel) +
@@ -1054,11 +1052,10 @@ BasicHdCpsScheduler<LocalPqT>::sampleNow(unsigned tid, Priority poppedPriority)
     publishRound_.fetch_sub(numWorkers(), std::memory_order_relaxed);
     double drift = drift_.computeDrift();
     driftSeries_.record(drift);
-    unsigned tdf = tdfController_.update(drift);
     if (metrics_) {
         metrics_->recordGlobal(GlobalSeries::TdfDrift, drift);
         metrics_->recordGlobal(GlobalSeries::Tdf,
-                               static_cast<double>(tdf));
+                               static_cast<double>(kHdCpsTdf));
         if (hierarchical_) {
             // Cumulative cross-node share of remote sends so far, the
             // observable output of the hierarchical split. Recorded

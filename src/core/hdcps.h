@@ -8,9 +8,11 @@
  *  - **sRQ**: a per-core software receive queue decouples task transfer
  *    from processing; the per-core priority queue becomes private to
  *    its owner, so no PQ operation ever takes a lock.
- *  - **TDF**: the drift-aware feedback heuristic (Algorithm 2) adapts
- *    the fraction of children sent to random remote cores, using drift
- *    samples published every `sampleInterval` tasks (Algorithm 3).
+ *  - **TDF**: the fraction of children sent to random remote cores.
+ *    The threaded design runs a fixed kHdCpsTdf and keeps the drift
+ *    samples published every `sampleInterval` tasks (Algorithm 3) as a
+ *    series; the paper's Algorithm 2 hill-climber (core/tdf.h) runs in
+ *    the simulated HD-CPS only (DESIGN.md §6.1 says why).
  *  - **Bags**: children with equal priorities are bundled (Algorithm 1)
  *    either always ("AC") or selectively within the size window ("SC",
  *    the shipping configuration).
@@ -47,7 +49,6 @@
 #include "core/drift.h"
 #include "core/local_pq.h"
 #include "core/recv_queue.h"
-#include "core/tdf.h"
 #include "cps/scheduler.h"
 #include "pq/locked_pq.h"
 #include "support/compiler.h"
@@ -57,16 +58,22 @@
 namespace hdcps {
 
 /** HdCpsConfig::crossNodePct sentinel: tie the cross-node share of
- *  remote sends to the live TDF output, so the same drift signal that
- *  widens distribution also widens its reach (see chooseDest). */
+ *  remote sends to the TDF in use, so a wider distribution also has a
+ *  wider reach (see chooseDest). */
 inline constexpr unsigned kCrossNodeFollowTdf = 255;
+
+/** The TDF of every design with useTdf set. On the 3-worker benchmark
+ *  host 5-10% is the best fixed TDF for run() solves and service jobs
+ *  (EXPERIMENTS.md, "Threaded TDF oracle and the payoff controller");
+ *  DESIGN.md §6.1 says why no controller adapts it. Above 0 on
+ *  purpose: at 0% a solve stays on the worker that holds its seed. */
+inline constexpr unsigned kHdCpsTdf = 5;
 
 /** All HD-CPS:SW tunables (paper defaults). */
 struct HdCpsConfig
 {
     size_t rqCapacity = 256;        ///< sRQ entries per core
-    bool useTdf = false;            ///< enable Algorithm 2
-    TdfController::Config tdf{};    ///< initial 50%, step 10%
+    bool useTdf = false;            ///< kHdCpsTdf + drift rounds
     unsigned fixedTdf = 98;         ///< distribution % when TDF is off
     unsigned sampleInterval = 2000; ///< tasks per drift sample (Alg. 3)
     BagPolicy bags{BagMode::None, BagTransport::Pull, 3, 10};
@@ -85,10 +92,9 @@ struct HdCpsConfig
     /**
      * Percentage of *remote* sends allowed to cross node boundaries
      * (multi-node topologies only). The default, kCrossNodeFollowTdf,
-     * feeds the knob from the drift heuristic: the effective share
-     * equals the current TDF, so low-drift phases keep remote traffic
-     * on-node and high-drift phases widen it across nodes. Fixed
-     * values 0..100 pin the share for experiments.
+     * makes the effective share equal the current TDF, so a low TDF
+     * keeps remote traffic mostly on-node. Fixed values 0..100 pin the
+     * share for experiments.
      */
     unsigned crossNodePct = kCrossNodeFollowTdf;
 };
@@ -158,7 +164,8 @@ class BasicHdCpsScheduler : public Scheduler
     static HdCpsConfig configSrqTdfAc();
     static HdCpsConfig configSw(); ///< sRQ + TDF + SC == HD-CPS:SW
 
-    /** Current TDF percentage (the heuristic's live output). */
+    /** Current TDF percentage: kHdCpsTdf, or fixedTdf when TDF is
+     *  off. */
     unsigned currentTdf() const;
 
     /** Drift tracker (exposed for tests and the figure harnesses). */
@@ -445,7 +452,7 @@ class BasicHdCpsScheduler : public Scheduler
         w.popsSinceSample = 0;
         sampleNow(tid, poppedPriority);
     }
-    /** Algorithm 3 report + Algorithm 2 TDF update (sample boundary). */
+    /** Algorithm 3 report + drift round (sample boundary). */
     void sampleNow(unsigned tid, Priority poppedPriority);
     /** The original tryPop body: activeBag, drain, private PQ. Caller
      *  holds w.reclaimLock when reclamation is enabled. */
@@ -461,7 +468,6 @@ class BasicHdCpsScheduler : public Scheduler
     bool hierarchical_ = false;
     std::vector<std::unique_ptr<WorkerState>> workers_;
     DriftTracker drift_;
-    TdfController tdfController_;
     std::atomic<unsigned> publishRound_{0};
     std::mutex updateMutex_;
     DriftSeries driftSeries_; ///< guarded by updateMutex_

@@ -1,6 +1,8 @@
 /**
  * @file
- * The Task Distribution Factor controller — Algorithm 2 of the paper.
+ * The Task Distribution Factor controller — Algorithm 2 of the paper,
+ * as the simulated HD-CPS (SimHdCps) runs it. The threaded HD-CPS
+ * routes at a fixed TDF instead (kHdCpsTdf in core/hdcps.h).
  *
  * TDF is the percentage of a core's enqueues that go to random remote
  * cores (75% TDF = three of every four children leave the core). The
@@ -29,7 +31,6 @@
 #define HDCPS_CORE_TDF_H_
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 
 #include "support/logging.h"
@@ -46,10 +47,6 @@ class TdfController
         unsigned step = 10;     ///< percent change per decision
         unsigned minTdf = 10;   ///< keep some distribution for balance
         unsigned maxTdf = 100;
-        /** Relative drift change below this fraction counts as "no
-         *  change": the controller holds TDF instead of reacting to
-         *  measurement noise. 0 disables the deadband (default). */
-        double deadband = 0.0;
     };
 
     TdfController() : TdfController(Config{}) {}
@@ -99,15 +96,6 @@ class TdfController
             return tdf;
         }
 
-        if (config_.deadband > 0.0) {
-            double magnitude = prevDrift_ > 0.0 ? prevDrift_ : 1e-12;
-            if (std::fabs(drift - prevDrift_) / magnitude <
-                config_.deadband) {
-                // Within the noise floor: hold position.
-                prevDrift_ = drift;
-                return tdf;
-            }
-        }
         if (drift >= prevDrift_) {
             // Worsened (or flat): reverse the previous move.
             if (lastDecision_ == Decision::Increase) {

@@ -415,13 +415,16 @@ TEST(HdCpsScheduler, FixedTdfControlsDistribution)
     EXPECT_EQ(popped, 50);
 }
 
-TEST(HdCpsScheduler, CurrentTdfWithinBounds)
+TEST(HdCpsScheduler, CurrentTdfIsTheFixedTdf)
 {
-    HdCpsConfig config = HdCpsScheduler::configSw();
-    HdCpsScheduler sched(2, config);
-    unsigned tdf = sched.currentTdf();
-    EXPECT_GE(tdf, config.tdf.minTdf);
-    EXPECT_LE(tdf, config.tdf.maxTdf);
+    // With TDF on the threaded design routes at kHdCpsTdf; with it off,
+    // at the configured fixedTdf.
+    HdCpsScheduler sw(2, HdCpsScheduler::configSw());
+    EXPECT_EQ(sw.currentTdf(), kHdCpsTdf);
+    HdCpsConfig off = HdCpsScheduler::configSrq();
+    off.fixedTdf = 37;
+    HdCpsScheduler srq(2, off);
+    EXPECT_EQ(srq.currentTdf(), 37u);
 }
 
 // ------------------------------------------------ design registry
@@ -456,60 +459,6 @@ TEST(DesignRegistry, SeedReachesHdCpsSw)
     };
     EXPECT_EQ(popCounts(5), popCounts(5));
     EXPECT_NE(popCounts(5), popCounts(6));
-}
-
-// -------------------------------------------------- TDF deadband path
-
-TEST(TdfDeadband, HoldsWithinNoiseFloor)
-{
-    TdfController::Config config = tdfConfig(50, 10);
-    config.deadband = 0.2;
-    TdfController tdf(config);
-    tdf.update(100.0); // first interval: record only
-    // 10% relative change is under the 20% deadband: hold, and the
-    // held interval must not count as a decision.
-    EXPECT_EQ(tdf.update(110.0), 50u);
-    EXPECT_EQ(tdf.current(), 50u);
-    EXPECT_EQ(tdf.decisions(), 0u);
-}
-
-TEST(TdfDeadband, ReactsBeyondNoiseFloor)
-{
-    TdfController::Config config = tdfConfig(50, 10);
-    config.deadband = 0.2;
-    TdfController tdf(config);
-    tdf.update(100.0);
-    tdf.update(110.0); // held — but the comparison base advances
-    // (200 - 110) / 110 clears the deadband; drift worsened after the
-    // (initial) Increase direction, so the controller must decrease.
-    EXPECT_EQ(tdf.update(200.0), 40u);
-    EXPECT_EQ(tdf.decisions(), 1u);
-    EXPECT_FALSE(tdf.lastWasIncrease());
-}
-
-TEST(TdfDeadband, ZeroPreviousDriftDoesNotDivideByZero)
-{
-    TdfController::Config config = tdfConfig(50, 10);
-    config.deadband = 0.1;
-    TdfController tdf(config);
-    tdf.update(0.0);
-    // prev = 0: any nonzero drift is an infinite relative change and
-    // must escape the deadband, not crash or hold forever.
-    EXPECT_EQ(tdf.update(5.0), 40u);
-    // And flat-at-zero stays inside it.
-    TdfController flat(config);
-    flat.update(0.0);
-    EXPECT_EQ(flat.update(0.0), 50u);
-    EXPECT_EQ(flat.decisions(), 0u);
-}
-
-TEST(TdfDeadband, DisabledByDefault)
-{
-    TdfController tdf(tdfConfig(50, 10));
-    tdf.update(100.0);
-    // Without a deadband even a tiny worsening triggers a reversal.
-    EXPECT_EQ(tdf.update(100.5), 40u);
-    EXPECT_EQ(tdf.decisions(), 1u);
 }
 
 // -------------------------------------- drift concurrency regression

@@ -22,10 +22,12 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
-# Only the test binaries, the CLI (for cli_metrics_smoke) and the one
-# figure harness bench_rejects_zero_reps runs are needed: skipping the
-# other bench/example targets roughly halves each instrumented build.
+# Only the test binaries, the CLI (for cli_metrics_smoke), the one
+# figure harness bench_rejects_zero_reps runs and the end-to-end bench
+# (bench_e2e_smoke) are needed: skipping the other bench/example
+# targets roughly halves each instrumented build.
 targets=(hdcps_cli hdcps_soak bench_micro_queues bench_fig7_queue_sizes
+         hdcps_bench
          test_support test_graph test_pq test_core test_obs test_sched
          test_conformance test_algos test_sim test_simdesigns
          test_stress test_simsched test_properties test_service)
