@@ -323,11 +323,12 @@ percent(double fraction)
 
 // ---------------------------------------------------------------------
 // Perf gate: machine-readable microbenchmark results (BENCH_micro.json)
-// consumed by tools/bench_compare. Schema "hdcps-bench-micro-v1":
-//   { "schema": ..., "git_rev": ..., "host_cores": N,
-//     "benchmarks": [ { "name", "scenario", "items_per_second",
-//                       "real_time_ns", "iterations",
-//                       "counters": {...}? }, ... ] }
+// consumed by tools/bench_compare. Schema "hdcps-bench-micro-v2":
+//   { "schema": ..., "git_rev": ..., "git_dirty": ..., "host_cores": N,
+//     "benchmarks": [ { "name", "scenario", "layer",
+//                       "items_per_second", "real_time_ns",
+//                       "iterations", "counters": {...}? }, ... ] }
+// "layer" names the stack layer the row prices (PerfGateResult).
 // "counters" is optional and carries benchmark-specific quality
 // metrics (e.g. quiescent rank-error bounds for relaxed queues);
 // bench_compare validates only the required keys and tolerates it.
@@ -338,6 +339,9 @@ struct PerfGateResult
 {
     std::string name;
     std::string scenario; ///< coarse grouping, e.g. "remote_heavy"
+    /** Stack layer the row prices: pq, local_pq, transfer, sched,
+     *  runtime or sim (the simulator's hardware models). */
+    std::string layer;
     double itemsPerSecond = 0.0;
     double realTimeNs = 0.0; ///< per iteration
     int64_t iterations = 0;
@@ -405,7 +409,7 @@ writePerfGateJson(const std::string &path,
         return false;
     }
     out << "{\n";
-    out << "  \"schema\": \"hdcps-bench-micro-v1\",\n";
+    out << "  \"schema\": \"hdcps-bench-micro-v2\",\n";
     out << "  \"git_rev\": \"" << jsonEscape(gitRev()) << "\",\n";
     out << "  \"git_dirty\": " << gitDirtyJson() << ",\n";
     out << "  \"host_cores\": " << std::thread::hardware_concurrency()
@@ -415,7 +419,8 @@ writePerfGateJson(const std::string &path,
         const PerfGateResult &r = results[i];
         out << (i ? "," : "") << "\n    {\"name\": \""
             << jsonEscape(r.name) << "\", \"scenario\": \""
-            << jsonEscape(r.scenario) << "\", \"items_per_second\": "
+            << jsonEscape(r.scenario) << "\", \"layer\": \""
+            << jsonEscape(r.layer) << "\", \"items_per_second\": "
             << r.itemsPerSecond << ", \"real_time_ns\": " << r.realTimeNs
             << ", \"iterations\": " << r.iterations;
         if (!r.counters.empty()) {

@@ -35,7 +35,6 @@ hostWallNs(Workload &workload, Scheduler &sched, unsigned threads)
         workload.reset();
         RunOptions options;
         options.numThreads = threads;
-        options.recordBreakdown = false;
         RunResult r = run(sched, workload.initialTasks(),
                           workloadProcessFn(workload), options);
         times.push_back(r.wallNs);

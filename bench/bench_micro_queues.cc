@@ -421,7 +421,6 @@ BM_HdCpsPipelineSpawn(benchmark::State &state)
             initial.push_back(Task{i % 4, i, 4});
         RunOptions options;
         options.numThreads = kThreads;
-        options.recordBreakdown = false;
         RunResult result = hdcps::run(
             sched, initial,
             [](unsigned, const Task &task, std::vector<Task> &children) {
@@ -613,6 +612,23 @@ scenarioOf(const std::string &name)
     return "micro";
 }
 
+/** Stack layer a row prices (tools/bench_compare groups by it). */
+std::string
+layerOf(const std::string &name)
+{
+    if (name.find("BM_DAryHeap") == 0 || name.find("BM_LockedPq") == 0)
+        return "pq";
+    if (name.find("BM_LocalBackendPushPop") == 0)
+        return "local_pq";
+    if (name.find("BM_ReceiveQueue") == 0 || name.find("BM_Bag") == 0)
+        return "transfer";
+    if (name.find("BM_HdCpsPipelineSpawn") == 0)
+        return "runtime";
+    if (name.find("BM_HwPqModel") == 0)
+        return "sim";
+    return "sched";
+}
+
 /** Console reporter that also captures rows for the perf-gate JSON. */
 class CaptureReporter : public benchmark::ConsoleReporter
 {
@@ -626,6 +642,7 @@ class CaptureReporter : public benchmark::ConsoleReporter
             hdcps::bench::PerfGateResult r;
             r.name = run.benchmark_name();
             r.scenario = scenarioOf(r.name);
+            r.layer = layerOf(r.name);
             auto it = run.counters.find("items_per_second");
             if (it != run.counters.end())
                 r.itemsPerSecond = double(it->second);

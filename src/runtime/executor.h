@@ -13,8 +13,8 @@
  *    counters balances twice in a row — no global in-flight counter on
  *    the per-task hot path (see quiescentOnce in executor.cc for the
  *    soundness argument, DESIGN.md §11 for the full write-up);
- *  - per-worker completion-time breakdown (enqueue/dequeue/compute/
- *    comm, Section IV-C of the paper);
+ *  - opt-in per-worker completion-time breakdown (enqueue/dequeue/
+ *    compute/comm, Section IV-C of the paper);
  *  - design-independent priority-drift reporting (Eq. 1), sampled by
  *    worker 0 every driftSampleInterval of its own pops. This is the
  *    metric Figure 3/5 plot for *every* CPS design, separate from the
@@ -60,7 +60,14 @@ struct RunOptions
 {
     unsigned numThreads = 1;
     unsigned driftSampleInterval = 2000; ///< pops between Eq.1 samples
-    bool recordBreakdown = true;         ///< per-op timing on/off
+    /**
+     * Per-phase timing (RunResult's enqueue/dequeue/compute/comm
+     * times, and the per-phase series when `metrics` is set). Off by
+     * default: it costs four clock reads per task, which is a
+     * measurable share of a fine-grained solve. Task counts are
+     * recorded either way.
+     */
+    bool recordBreakdown = false;
     /**
      * Progress watchdog window in milliseconds; 0 disables it. When
      * enabled, a monitor thread checks every window: if tasks are still
@@ -82,8 +89,9 @@ struct RunOptions
      * Optional observability sink. When set, run() attaches it to the
      * scheduler and records time series on the drift sampling cadence:
      * the Eq. 1 drift signal (worker 0), each worker's cumulative
-     * per-phase breakdown, and the in-flight task gauge. The registry
-     * must have at least numThreads workers and outlive run().
+     * per-phase breakdown (with recordBreakdown), and the in-flight
+     * task gauge. The registry must have at least numThreads workers
+     * and outlive run().
      */
     MetricsRegistry *metrics = nullptr;
 };

@@ -526,7 +526,11 @@ ExecutorService::submit(JobSpec spec)
 
     admitted_.fetch_add(1, std::memory_order_relaxed);
     activeJobs_.fetch_add(1, std::memory_order_acq_rel);
-    work_.notify_one();
+    // Wake every idle worker, not just the adopter: the job's remote
+    // sends land in peers' sRQs at once, and a peer left in its idle
+    // sleep would hold them there. Workers do not sleep while a job is
+    // active, so this is the only wake a job needs.
+    work_.notify_all();
     return JobHandle(record);
 }
 
@@ -816,7 +820,7 @@ ExecutorService::handleTaskFailure(unsigned tid,
     maybeFinishJob(record);
 }
 
-void
+bool
 ExecutorService::processTask(unsigned tid, const RecordPtr &record,
                              const Task &task,
                              std::vector<Task> &children)
@@ -832,7 +836,7 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
             options_.metrics->add(tid, WorkerCounter::DrainedTasks);
         noteTaskCompleted(*record, tid);
         maybeFinishJob(record);
-        return;
+        return false;
     }
 
     // Cooperative preemption: an incarnation stamped before the job's
@@ -860,7 +864,7 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
         noteTasksCreated(*record, tid, 1);
         noteTaskCompleted(*record, tid);
         sched_.push(tid, again);
-        return;
+        return false;
     }
 
     children.clear();
@@ -886,10 +890,10 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
         record->process(tid, task, children);
     } catch (const std::exception &e) {
         handleTaskFailure(tid, record, task, e.what());
-        return;
+        return false;
     } catch (...) {
         handleTaskFailure(tid, record, task, "non-std exception");
-        return;
+        return false;
     }
 
     for (Task &c : children) {
@@ -904,15 +908,17 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
     if (options_.metrics)
         options_.metrics->add(tid, WorkerCounter::TasksProcessed);
     if (children.empty()) {
+        // The scan is owed, not run: workerLoop pays it at the pop
+        // that leaves this job.
         noteTaskCompleted(*record, tid, /*processed=*/true);
-        maybeFinishJob(record);
-        return;
+        return true;
     }
     // Complete-before-push: the children are counted created, so this
     // completion cannot make the job quiescent and needs no scan.
     noteTasksCreated(*record, tid, children.size());
     noteTaskCompleted(*record, tid, /*processed=*/true);
     sched_.pushBatch(tid, children.data(), children.size());
+    return false;
 }
 
 void
@@ -951,6 +957,18 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
     // scheduler is created-but-not-completed). Dropped when the worker
     // goes idle so a finished job's ProcessFn captures are not pinned.
     RecordPtr cached;
+    // Deferred quiescence scan of cached's job (DESIGN.md §14.6): owed
+    // after a childless completion, paid at the next pop that comes
+    // back empty or with another job's task, and before the worker
+    // can block or leave. A pop of the same job's task drops it: that
+    // task was in flight, so the completion did not end the job.
+    bool scanOwed = false;
+    auto payScan = [&] {
+        if (scanOwed) {
+            scanOwed = false;
+            maybeFinishJob(cached);
+        }
+    };
 
     while (true) {
         if (supervisor_) {
@@ -960,11 +978,14 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
             // holding no task, loop-top — so the replacement can take
             // over; the supervisor reclaims anything this thread
             // pushed since the reclamation pass.
-            if (supervisor_->superseded(tid, epoch))
+            if (supervisor_->superseded(tid, epoch)) {
+                payScan();
                 return;
+            }
             // Crash drill: die as if a bug killed this worker. The
             // throw escapes to workerEntry, which latches the exit.
             if (faultFires(faultsite::SvcWorkerDie)) {
+                payScan();
                 throw FaultInjectedError(
                     "injected worker death (svc.worker.die)");
             }
@@ -975,6 +996,7 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
             // (once/nth/prob) stall 3x the wedged threshold so the
             // detection provably trips.
             if (faultFires(faultsite::SvcWorkerWedge)) {
+                payScan();
                 uint64_t ns = faultAmount(faultsite::SvcWorkerWedge);
                 if (ns == 0) {
                     ns = options_.supervisor.wedgedAfterMs * 3 *
@@ -988,7 +1010,10 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
         }
 
         // Straggler drill: same cooperative pause point as the
-        // one-shot executor, so soak/chaos scenarios translate.
+        // one-shot executor, so soak/chaos scenarios translate. With
+        // an injector installed the point may sleep, so pay first.
+        if (StragglerInjector::active() != nullptr)
+            payScan();
         stragglerPausePoint(tid);
 
         bool adopted = adoptOne(tid);
@@ -998,6 +1023,7 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
         bool got = !faultFires(faultsite::ExecPopFail) &&
                    sched_.tryPop(tid, task);
         if (!got) {
+            payScan();
             if (adopted)
                 continue;
             if (shutdown_.load(std::memory_order_acquire) &&
@@ -1023,11 +1049,12 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
         backoff.reset();
 
         if (cached == nullptr || cached->id != task.job) {
+            payScan();
             cached = findJob(task.job);
             hdcps_check(cached != nullptr,
                         "popped task for unknown job %u", task.job);
         }
-        processTask(tid, cached, task, children);
+        scanOwed = processTask(tid, cached, task, children);
     }
 }
 

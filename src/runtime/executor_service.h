@@ -51,7 +51,8 @@
  *    created/completed counters and completed-first quiescence scan,
  *    instantiated once per job. Whichever worker completes a job's
  *    last task wins a CAS to the terminal state, records the latency,
- *    and wakes waiters.
+ *    and wakes waiters. It scans at its next pop that leaves the job,
+ *    not right after the completion (DESIGN.md §14.6).
  *  - Bounded admission with backpressure: at most
  *    ServiceOptions::admissionCapacity jobs may be queued (admitted
  *    but not yet adopted by a worker). An overflowing submit either
@@ -592,8 +593,11 @@ class ExecutorService
      *  every ~10ms). */
     void recordTenantSeries();
 
-    /** Pop-side handling of one task belonging to `record`. */
-    void processTask(unsigned tid, const RecordPtr &record,
+    /** Pop-side handling of one task belonging to `record`. Returns
+     *  true when the task completed with no children: the job's
+     *  quiescence scan is then owed, and workerLoop pays it at the pop
+     *  that leaves the job (DESIGN.md §14.6). */
+    bool processTask(unsigned tid, const RecordPtr &record,
                      const Task &task, std::vector<Task> &children);
 
     /** A task of `record` threw: retry with backoff, or exhaust the
@@ -617,7 +621,9 @@ class ExecutorService
      * paths call it only when they pushed nothing: a worker counts its
      * task completed before it pushes what the task created, so only
      * such a completion can make a job quiescent (soundness argument
-     * on TerminationCounters::quiescentOnce).
+     * on TerminationCounters::quiescentOnce). A childless success
+     * defers the call to the worker's next pop that leaves the job;
+     * the cold paths call it at once.
      */
     void maybeFinishJob(const RecordPtr &record);
 

@@ -118,6 +118,16 @@ class TerminationCounters
      * reads both and sees the balance. Scans after completions with
      * k > 0 can never succeed and are skipped.
      *
+     * The scan after a k == 0 completion may also wait until the
+     * worker's next pop, and is needed only if that pop comes back
+     * empty or holds another job's task. A pop that returns a task U
+     * of the same job shows the job was not quiescent after the
+     * completion: had it been, no task of the job could exist any
+     * more (only in-flight tasks create tasks), yet U was created and
+     * not completed. The completion that does make the job quiescent
+     * is always followed by such a pop, or by the worker blocking or
+     * exiting, and the worker scans before either.
+     *
      * The order matters: under create -> push -> complete, a peer can
      * pop and complete a child before its parent is counted
      * completed; the peer's scan then misses the parent's completion,

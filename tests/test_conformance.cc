@@ -185,7 +185,6 @@ runConformanceScenario(const DesignCase &design, const ChaosCase &chaos,
     options.watchdogMs = kWatchdogMs;
     options.reclaimAfterMs = kReclaimAfterMs;
     options.metrics = &metrics;
-    options.recordBreakdown = false;
 
     RunResult r = run(verified, seeds, process, options);
 

@@ -474,6 +474,7 @@ TEST(Executor, BreakdownComponentsPopulated)
     PmodScheduler sched(2);
     RunOptions options;
     options.numThreads = 2;
+    options.recordBreakdown = true;
     RunResult result = run(sched, {Task{0, 0, 0}}, treeWorkload(4, 6),
                            options);
     EXPECT_GT(result.total[Component::Dequeue], 0u);
@@ -481,12 +482,11 @@ TEST(Executor, BreakdownComponentsPopulated)
     EXPECT_GT(result.total[Component::Enqueue], 0u);
 }
 
-TEST(Executor, BreakdownCanBeDisabled)
+TEST(Executor, BreakdownOffByDefault)
 {
     ReldScheduler sched(1, 1);
     RunOptions options;
     options.numThreads = 1;
-    options.recordBreakdown = false;
     RunResult result = run(sched, {Task{0, 0, 0}}, treeWorkload(2, 4),
                            options);
     EXPECT_EQ(result.total.total(), 0u);

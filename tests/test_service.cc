@@ -533,9 +533,9 @@ class SlowRepushScheduler : public Scheduler
  * on timeout the service and its scheduler are leaked: the test fails
  * instead of hanging the suite.
  */
+template <typename Sched>
 void
-expectFinishesOrLeak(JobHandle &job,
-                     std::unique_ptr<SlowRepushScheduler> &sched,
+expectFinishesOrLeak(JobHandle &job, std::unique_ptr<Sched> &sched,
                      std::unique_ptr<ExecutorService> &svc)
 {
     JobState state = JobState::Running;
@@ -614,6 +614,120 @@ TEST(Service, DemoteRetagCompletedByPeerStillFinishesJob)
     EXPECT_EQ(processed.load(), 1u);
     EXPECT_EQ(job.tasksCompleted(), 2u);
     EXPECT_EQ(svc == nullptr ? 0u : svc->stats().demotedTasks, 1u);
+}
+
+/*
+ * The deferred quiescence scan (DESIGN.md §14.6). A worker whose task
+ * completes childless owes its job a scan and pays it at the next pop
+ * that leaves the job, or before it can block or exit. Each test fails
+ * if one of those payment points is missing.
+ */
+
+TEST(Service, OwedScanPaidWhenNextPopIsAnotherJob)
+{
+    // One worker, so the order is fixed: A's only task completes while
+    // B is queued, the worker adopts B and pops B's task, and that task
+    // waits for A. A worker that scanned only when it went idle would
+    // not finish A until B's task gave up.
+    auto sched = std::make_unique<MultiQueueScheduler>(1);
+    ServiceOptions options;
+    options.numThreads = 1;
+    auto svc = std::make_unique<ExecutorService>(*sched, options);
+
+    std::atomic<bool> bQueued{false};
+    JobSpec a;
+    a.name = "a";
+    a.process = [&bQueued](unsigned, const Task &, std::vector<Task> &) {
+        while (!bQueued.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    };
+    a.initial = {Task{0, 1, 0}};
+    JobHandle jobA = svc->submit(std::move(a));
+
+    std::atomic<int> sawAFinished{-1};
+    JobSpec b;
+    b.name = "b";
+    b.process = [&jobA, &sawAFinished](unsigned, const Task &,
+                                       std::vector<Task> &) {
+        sawAFinished.store(jobA.waitFor(500) ? 1 : 0,
+                           std::memory_order_release);
+    };
+    b.initial = {Task{0, 2, 0}};
+    JobHandle jobB = svc->submit(std::move(b));
+    bQueued.store(true, std::memory_order_release);
+
+    // Shuts the service down once A finishes, which waits for B too.
+    expectFinishesOrLeak(jobA, sched, svc);
+    if (svc != nullptr) {
+        EXPECT_EQ(jobB.state(), JobState::Completed);
+        EXPECT_EQ(sawAFinished.load(std::memory_order_acquire), 1)
+            << "B's task timed out waiting for A";
+    }
+}
+
+TEST(Service, StragglerPauseDoesNotHoldOwedScan)
+{
+    // The job's only task installs an injector that pauses the worker
+    // at its very next pause point, right after the childless
+    // completion. The job must finish well inside the pause.
+    constexpr uint64_t pauseMs = 1500;
+    StragglerInjector stragglers(1, 7);
+    stragglers.add({/*worker=*/0, /*atCheck=*/1, pauseMs});
+    MultiQueueScheduler sched(1);
+    ServiceOptions options;
+    options.numThreads = 1;
+    ExecutorService svc(sched, options);
+
+    JobSpec spec;
+    spec.name = "paused-after";
+    spec.process = [&stragglers](unsigned, const Task &,
+                                 std::vector<Task> &) {
+        StragglerInjector::install(&stragglers);
+    };
+    spec.initial = {Task{0, 1, 0}};
+    JobHandle job = svc.submit(std::move(spec));
+
+    JobState state = JobState::Running;
+    EXPECT_TRUE(job.waitFor(pauseMs / 2, &state))
+        << "job still " << jobStateName(job.state())
+        << " while its worker is paused";
+    EXPECT_EQ(state, JobState::Completed);
+    svc.shutdown(); // waits out the pause
+    StragglerInjector::install(nullptr);
+    EXPECT_EQ(stragglers.pausesInjected(), 1u);
+}
+
+TEST(Service, SupersededWorkerPaysOwedScan)
+{
+    // The job's only task outlives the wedge threshold, so the
+    // supervisor supersedes its worker; the task then completes
+    // childless and the worker exits at its next loop top. Its
+    // replacement owes nothing, so a worker that dropped the owed scan
+    // on exit would strand the job.
+    auto sched = std::make_unique<MultiQueueScheduler>(1);
+    ServiceOptions options;
+    options.numThreads = 1;
+    options.supervisor.enabled = true;
+    options.supervisor.probeIntervalMs = 1;
+    options.supervisor.suspectAfterMs = 20;
+    options.supervisor.wedgedAfterMs = 50;
+    options.supervisor.maxRestarts = 4;
+    auto svc = std::make_unique<ExecutorService>(*sched, options);
+
+    ExecutorService *raw = svc.get();
+    JobSpec spec;
+    spec.name = "outlives-wedge";
+    spec.process = [raw](unsigned, const Task &, std::vector<Task> &) {
+        for (int i = 0; i < 5000 && raw->stats().wedgesDetected == 0; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    spec.initial = {Task{0, 1, 0}};
+    JobHandle job = svc->submit(std::move(spec));
+
+    expectFinishesOrLeak(job, sched, svc);
+    if (svc != nullptr) {
+        EXPECT_GE(svc->stats().wedgesDetected, 1u);
+    }
 }
 
 TEST(Service, TenantCountersExactAtQuiescence)

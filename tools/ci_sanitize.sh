@@ -129,10 +129,13 @@ fairness_chaos() {
 # retries armed, checked against the verifier's conservation ledger.
 # It guards the service's complete-before-push ordering (a worker
 # counts a task completed before it pushes the children or the retry
-# it created, and only childless completions scan for job
-# quiescence). A lost job completion leaves a wait() blocked and the
-# stage never finishes; a lost or duplicated task fails the ledger;
-# an overlapping metrics write aborts on the spot.
+# it created, and only childless completions owe a scan for job
+# quiescence) and the deferred scan (a worker pays an owed scan at
+# its next pop that comes back empty or with another job's task, and
+# before it pauses, sleeps or exits). A lost job completion leaves a
+# wait() blocked and the stage never finishes; a lost or duplicated
+# task fails the ledger; an overlapping metrics write aborts on the
+# spot.
 service_chaos() {
     local builddir=$1
     "$builddir"/tools/hdcps_soak --runs 10 --seed 97 --threads 4 \

@@ -453,6 +453,8 @@ runThreads(const Options &options, Workload &workload)
             std::make_unique<MetricsRegistry>(options.threads, config);
         runOptions.metrics = metrics.get();
         runOptions.driftSampleInterval = interval;
+        // The export carries the per-phase series.
+        runOptions.recordBreakdown = true;
     }
 
     RunResult r = run(*scheduler, workload.initialTasks(),

@@ -523,7 +523,6 @@ runScenario(const Scenario &s, const Options &options,
     runOptions.watchdogMs = kWatchdogMs;
     runOptions.reclaimAfterMs = kReclaimAfterMs;
     runOptions.metrics = &metrics;
-    runOptions.recordBreakdown = false;
 
     RunResult r = run(verified, workload->initialTasks(),
                       workloadProcessFn(*workload), runOptions);
