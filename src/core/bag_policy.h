@@ -62,6 +62,17 @@ struct BagPolicy
     size_t minBagSize = 3;  ///< ">= 3 ... tasks used in this paper"
     size_t maxBagSize = 10; ///< "... but < 10"; also the split bound
 
+    /** Fewest tasks that can form a bag under this mode: a batch with
+     *  fewer children than this is all singles, so callers may skip
+     *  planning it. */
+    size_t
+    smallestBag() const
+    {
+        if (mode == BagMode::None)
+            return SIZE_MAX;
+        return mode == BagMode::Always ? 2 : minBagSize;
+    }
+
     /**
      * Allocation-free planning core: group `children` in place and hand
      * each decision to a callback instead of materializing a BagPlan.

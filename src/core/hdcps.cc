@@ -735,7 +735,9 @@ BasicHdCpsScheduler<LocalPqT>::pushBatch(unsigned tid, const Task *tasks, size_t
             stageRemote(tid, dest, envelope);
     };
 
-    if (config_.bags.mode == BagMode::None) {
+    if (count < config_.bags.smallestBag()) {
+        // Too few children to bag (every child of a BagMode::None
+        // design): skip planRanges' copy and sort.
         for (size_t i = 0; i < count; ++i)
             route(tasks[i], nullptr);
     } else {

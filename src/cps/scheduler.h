@@ -91,8 +91,11 @@ class Scheduler
 
     /**
      * Worker-thread lifecycle hook: the runtime calls this from worker
-     * `tid`'s *own* thread before its first pop — at pool startup and
-     * again for every replacement thread spawned into a healed slot.
+     * `tid`'s *own* thread before its first pop — at pool startup,
+     * again for every replacement thread spawned into a healed slot,
+     * and in run() at every run on each worker's thread, the caller's
+     * (worker 0) included; run() restores each thread's CPU mask when
+     * its worker body ends.
      * Topology-aware designs pin the calling thread to the slot's NUMA
      * node here, so a replacement worker rejoins its node group. Must
      * be idempotent and safe while other workers run (the default is a

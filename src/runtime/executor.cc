@@ -7,6 +7,12 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "runtime/worker_common.h"
 #include "support/compiler.h"
@@ -37,7 +43,8 @@ struct RunState
     FailureLatch latch;
 
     /** Per-worker pop counters for the watchdog's progress check —
-     *  padded so the unconditional relaxed increment never contends. */
+     *  single-writer and padded, so the unconditional increment is a
+     *  plain load + store that never contends. */
     std::vector<Padded<std::atomic<uint64_t>>> pops;
     /** Monotonic ns of each worker's last successful pop (seeded with
      *  the run start), written only when the watchdog is armed — lets
@@ -45,6 +52,13 @@ struct RunState
      *  long, not just who popped least overall. */
     std::vector<Padded<std::atomic<uint64_t>>> lastPopNs;
     uint64_t startNs = 0;
+
+    /** RunResult::perWorker; worker `tid` writes only its own entry. */
+    Breakdown *perWorker = nullptr;
+    /** Helpers still inside a worker body of this run. Each helper's
+     *  release decrement is its last touch of this state: once run()
+     *  reads 0 (acquire) it may return and free it. */
+    std::atomic<unsigned> helpersLeft{0};
 
     explicit RunState(unsigned numThreads)
         : term(numThreads), drift(numThreads), pops(numThreads),
@@ -173,7 +187,10 @@ workerLoop(RunState &state, unsigned tid, Breakdown &breakdown)
             continue;
         }
         backoff.reset();
-        state.pops[tid].value.fetch_add(1, std::memory_order_relaxed);
+        // Single writer (this worker): load + store, no RMW.
+        std::atomic<uint64_t> &pops = state.pops[tid].value;
+        pops.store(pops.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
         if (state.options.watchdogMs > 0) {
             state.lastPopNs[tid].value.store(timed ? t1 : nowNs(),
                                              std::memory_order_relaxed);
@@ -268,6 +285,159 @@ workerLoop(RunState &state, unsigned tid, Breakdown &breakdown)
     }
 }
 
+/**
+ * One worker's whole stay in a run, on whichever thread runs it. The
+ * thread leaves with the CPU mask it came in with: a topology-aware
+ * design pins in onWorkerStart, and neither the caller nor a resident
+ * helper may carry one run's pinning into the next. noexcept: an
+ * escaping exception must not unwind the caller past a RunState that
+ * helpers still use, so it terminates, as it always did on a worker
+ * thread.
+ */
+void
+workerBody(RunState &state, unsigned tid) noexcept
+{
+#ifdef __linux__
+    cpu_set_t entryMask;
+    const bool saved = pthread_getaffinity_np(pthread_self(),
+                                              sizeof(entryMask),
+                                              &entryMask) == 0;
+#endif
+    // Lifecycle hook from the worker's own thread before its first pop
+    // (topology-aware designs pin here).
+    state.sched->onWorkerStart(tid);
+    workerLoop(state, tid, state.perWorker[tid]);
+#ifdef __linux__
+    cpu_set_t exitMask;
+    if (saved &&
+        pthread_getaffinity_np(pthread_self(), sizeof(exitMask),
+                               &exitMask) == 0 &&
+        !CPU_EQUAL(&exitMask, &entryMask)) {
+        pthread_setaffinity_np(pthread_self(), sizeof(entryMask),
+                               &entryMask);
+    }
+#endif
+}
+
+/**
+ * A resident thread that runs workers 1..n-1 of run() calls. It parks
+ * on its own condvar between runs (no spinning), so an idle helper
+ * costs nothing but its stack.
+ */
+struct Helper
+{
+    std::mutex mutex;
+    std::condition_variable wake;
+    RunState *state = nullptr; ///< the run to join; guarded by mutex
+    unsigned tid = 0;          ///< its worker id there; guarded by mutex
+    /** Never joined: helpers live as long as the process (see
+     *  helperPool). */
+    std::thread thread;
+};
+
+void helperMain(Helper &self);
+
+/**
+ * The idle helpers. run() takes one per helper worker and spawns a new
+ * one only when none is idle, so the pool grows to the most helpers
+ * ever busy at once and never shrinks. The lock covers the idle list
+ * only — never a run — so concurrent and nested run() calls each get
+ * their own helpers.
+ */
+class HelperPool
+{
+  public:
+    /** Start workers 1..n-1 of `state` on helpers. noexcept: a failed
+     *  spawn must not unwind run() while earlier helpers already use
+     *  its RunState, so it terminates (as a failed spawn always did
+     *  with sibling threads left unjoined). */
+    void
+    dispatch(RunState &state) noexcept
+    {
+        for (unsigned tid = 1; tid < state.options.numThreads; ++tid) {
+            Helper *helper = takeIdle();
+            if (helper == nullptr) {
+                helper = new Helper;
+                helper->thread =
+                    std::thread(helperMain, std::ref(*helper));
+            }
+            {
+                std::lock_guard<std::mutex> lock(helper->mutex);
+                helper->state = &state;
+                helper->tid = tid;
+            }
+            helper->wake.notify_one();
+        }
+    }
+
+    void
+    park(Helper &helper)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        idle_.push_back(&helper);
+    }
+
+  private:
+    Helper *
+    takeIdle()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (idle_.empty())
+            return nullptr;
+        Helper *helper = idle_.back();
+        idle_.pop_back();
+        return helper;
+    }
+
+    std::mutex mutex_;
+    std::vector<Helper *> idle_;
+};
+
+HelperPool *helperPoolInstance = nullptr;
+
+/**
+ * The process's helper pool. Deliberately leaked, helpers included: a
+ * static destructor would destroy the list and the condvars while
+ * parked helpers still wait on them. A forked child inherits the idle
+ * list but none of its threads (and perhaps a held lock), so it starts
+ * over with an empty pool.
+ */
+HelperPool &
+helperPool()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        helperPoolInstance = new HelperPool;
+#ifdef __linux__
+        pthread_atfork(nullptr, nullptr,
+                       [] { helperPoolInstance = new HelperPool; });
+#endif
+    });
+    return *helperPoolInstance;
+}
+
+void
+helperMain(Helper &self)
+{
+    std::unique_lock<std::mutex> lock(self.mutex);
+    while (true) {
+        self.wake.wait(lock, [&self] { return self.state != nullptr; });
+        RunState &state = *std::exchange(self.state, nullptr);
+        const unsigned tid = self.tid;
+        lock.unlock();
+        // Fault drill: a helper that arrives late, even after the run's
+        // work is done, must still find a live RunState.
+        faultSleep(faultsite::ExecHelperDelay);
+        workerBody(state, tid);
+        // Parked before the decrement so a back-to-back run() finds it
+        // idle; a run that takes it meanwhile only sets self.state,
+        // which the wait above picks up.
+        helperPool().park(self);
+        state.helpersLeft.fetch_sub(1, std::memory_order_release);
+        lock.lock();
+    }
+}
+
 } // namespace
 
 RunResult
@@ -296,7 +466,7 @@ run(Scheduler &sched, const std::vector<Task> &initial,
     state.process = &process;
     state.options = options;
     // Seeds count as created by worker 0 (single-threaded phase; the
-    // thread spawns below publish the stores to every worker).
+    // helper hand-off below publishes the stores to every worker).
     state.term.seedCreated(0, initial.size());
     state.startNs = nowNs();
     for (auto &slot : state.lastPopNs)
@@ -315,6 +485,7 @@ run(Scheduler &sched, const std::vector<Task> &initial,
 
     RunResult result;
     result.perWorker.assign(options.numThreads, Breakdown{});
+    state.perWorker = result.perWorker.data();
 
     // The watchdog rides alongside the workers; `done` + cv retire it
     // the moment they all exit, failed run or not.
@@ -328,26 +499,17 @@ run(Scheduler &sched, const std::vector<Task> &initial,
         });
     }
 
+    // The caller is worker 0; resident helpers run the rest. run()
+    // returns only after every helper has left its worker body, since
+    // `state` lives on this stack.
     uint64_t startNs = nowNs();
-    if (options.numThreads == 1) {
-        workerLoop(state, 0, result.perWorker[0]);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(options.numThreads);
-        for (unsigned tid = 0; tid < options.numThreads; ++tid) {
-            threads.emplace_back([&state, &result, tid] {
-                // Lifecycle hook from the worker's own thread before
-                // its first pop (topology-aware designs pin here). The
-                // single-threaded path above skips it on purpose: that
-                // runs on the caller's thread, which must not end up
-                // permanently pinned.
-                state.sched->onWorkerStart(tid);
-                workerLoop(state, tid, result.perWorker[tid]);
-            });
-        }
-        for (auto &t : threads)
-            t.join();
-    }
+    state.helpersLeft.store(options.numThreads - 1,
+                            std::memory_order_relaxed);
+    helperPool().dispatch(state);
+    workerBody(state, 0);
+    IdleBackoff backoff;
+    while (state.helpersLeft.load(std::memory_order_acquire) != 0)
+        backoff.idle();
     result.wallNs = nowNs() - startNs;
 
     if (watchdog.joinable()) {

@@ -4,7 +4,9 @@
  * task-processing function on real host threads.
  *
  * Responsibilities:
- *  - spawn workers and run the pop/process/push loop;
+ *  - run the pop/process/push loop on the calling thread (worker 0)
+ *    and on resident helper threads (workers 1..n-1), so no run()
+ *    spawns or joins a thread once helpers exist (DESIGN.md §11);
  *  - distributed termination detection: each worker counts tasks it
  *    created and tasks it completed in its own cache-line-padded
  *    counters (a task counts as created before it is poppable and as
@@ -21,8 +23,8 @@
  *    HD-CPS-internal tracker that feeds the TDF heuristic;
  *  - graceful failure: a ProcessFn that throws fails the run instead of
  *    terminating the process — the first error is latched into the
- *    RunResult, every worker drains out via a stop flag, and all
- *    threads are joined before run() returns;
+ *    RunResult, every worker drains out via a stop flag, and every
+ *    worker body returns before run() does;
  *  - an opt-in progress watchdog (RunOptions::watchdogMs) that fails a
  *    run stuck with in-flight tasks but no pops, attaching a
  *    diagnostic dump (per-worker pop counts *and* last-pop ages)
@@ -120,9 +122,15 @@ struct RunResult
 
 /**
  * Run `process` over `initial` and everything it spawns, scheduling
- * through `sched`. Blocks until all tasks are done and workers joined.
- * Never terminates the process on a ProcessFn exception — inspect
- * RunResult::ok() / error instead.
+ * through `sched`. The calling thread runs worker 0; workers 1..n-1
+ * run on resident helper threads that park between runs. A helper is
+ * spawned only when none is idle, so the helpers number the most ever
+ * in use at once, and concurrent or nested run() calls each get their
+ * own. Every worker calls Scheduler::onWorkerStart on its thread
+ * before its first pop, and each thread leaves with the CPU mask it
+ * came in with. Blocks until all tasks are done and every worker body
+ * has returned. Never terminates the process on a ProcessFn exception
+ * — inspect RunResult::ok() / error instead.
  */
 RunResult run(Scheduler &sched, const std::vector<Task> &initial,
               const ProcessFn &process, const RunOptions &options);

@@ -29,6 +29,9 @@ const FaultSiteInfo siteCatalog[] = {
      "executor-level spurious tryPop failure: worker idles one round"},
     {faultsite::ExecProcessThrow,
      "ProcessFn throws FaultInjectedError: drives run-failure handling"},
+    {faultsite::ExecHelperDelay,
+     "delay (ns) a resident run() helper sleeps before it enters its "
+     "worker body: drives the late-helper hand-off"},
     {faultsite::SimHrqFull,
      "simulated hRQ reports full: arrival spills to the software sRQ"},
     {faultsite::SimHpqEvict,

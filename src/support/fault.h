@@ -70,6 +70,7 @@ inline constexpr char HdcpsOverflowSpill[] = "hdcps.overflow.spill";
 inline constexpr char DriftPublishDelay[] = "drift.publish.delay";
 inline constexpr char ExecPopFail[] = "exec.pop.fail";
 inline constexpr char ExecProcessThrow[] = "exec.process.throw";
+inline constexpr char ExecHelperDelay[] = "exec.helper.delay";
 inline constexpr char SimHrqFull[] = "sim.hrq.full";
 inline constexpr char SimHpqEvict[] = "sim.hpq.evict";
 inline constexpr char SimNocDelay[] = "sim.noc.delay";

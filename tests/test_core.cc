@@ -380,6 +380,44 @@ TEST(HdCpsScheduler, BatchWithBagsConservesTasks)
     EXPECT_EQ(popped, 6);
 }
 
+/** Push a batch of `count` equal-priority children on one worker and
+ *  pop everything back; returns the number of tasks popped. */
+int
+pushEqualBatchAndDrain(HdCpsScheduler &sched, int count)
+{
+    std::vector<Task> children;
+    for (int i = 0; i < count; ++i)
+        children.push_back(Task{7, uint32_t(i), 0});
+    sched.pushBatch(0, children.data(), children.size());
+    int popped = 0;
+    Task t;
+    while (sched.tryPop(0, t))
+        ++popped;
+    return popped;
+}
+
+TEST(HdCpsScheduler, BatchBelowSmallestBagIsNotPlanned)
+{
+    // Selective mode bags groups of >= minBagSize (3): a 2-child batch
+    // goes out as singles without being planned.
+    HdCpsScheduler selective(1, HdCpsScheduler::configSw());
+    EXPECT_EQ(pushEqualBatchAndDrain(selective, 2), 2);
+    EXPECT_EQ(selective.bagsCreated(), 0u);
+    EXPECT_EQ(selective.tasksInBags(), 0u);
+
+    // Always mode bags any group of >= 2, so the same batch still
+    // forms one bag.
+    HdCpsScheduler always(1, HdCpsScheduler::configSrqTdfAc());
+    EXPECT_EQ(pushEqualBatchAndDrain(always, 2), 2);
+    EXPECT_EQ(always.bagsCreated(), 1u);
+    EXPECT_EQ(always.tasksInBags(), 2u);
+
+    // A lone child is a single in every mode.
+    HdCpsScheduler lone(1, HdCpsScheduler::configSrqTdfAc());
+    EXPECT_EQ(pushEqualBatchAndDrain(lone, 1), 1);
+    EXPECT_EQ(lone.bagsCreated(), 0u);
+}
+
 TEST(HdCpsScheduler, OverflowPathStillDelivers)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();

@@ -2,17 +2,34 @@
  * @file
  * Stress and failure-injection tests: oversubscribed executors,
  * adversarial scheduler churn, tiny queue capacities, randomized task
- * trees, and property checks on the simulator's bounded-queueing
- * models. These guard the invariants the calibrated benchmarks rely
- * on under conditions the happy-path tests never reach.
+ * trees, run()'s resident helper threads (reuse, concurrent and nested
+ * runs, pinning, fork, late hand-off), and property checks on the
+ * simulator's bounded-queueing models. These guard the invariants the
+ * calibrated benchmarks rely on under conditions the happy-path tests
+ * never reach.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <fstream>
+#include <functional>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 #include "algos/workload.h"
 #include "core/hdcps.h"
@@ -27,6 +44,7 @@
 #include "support/fault.h"
 #include "support/rng.h"
 #include "support/straggler.h"
+#include "support/timer.h"
 
 namespace hdcps {
 namespace {
@@ -577,6 +595,358 @@ TEST(SimProperties, DrainAlwaysCompletes)
     auto design = makeHdCpsDesign(config, "pathological");
     SimResult r = simulate(*design, *workload, machine, 1);
     ASSERT_TRUE(r.verified) << r.verifyError;
+}
+
+// ------------------------------------------- resident run() helpers
+
+/** Runs `body` on its own thread; false when it did not finish within
+ *  `limit`. A hung body is left running (its thread detached), so a
+ *  deadlock fails the test instead of hanging the suite — `body` must
+ *  therefore own what it uses. */
+bool
+finishesWithin(std::chrono::seconds limit, std::function<void()> body)
+{
+    std::packaged_task<void()> task(std::move(body));
+    std::future<void> done = task.get_future();
+    std::thread thread(std::move(task));
+    if (done.wait_for(limit) != std::future_status::ready) {
+        thread.detach();
+        return false;
+    }
+    thread.join();
+    done.get();
+    return true;
+}
+
+/** Threads in this process right now, or 0 where that is unknown. */
+unsigned
+processThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return static_cast<unsigned>(std::stoul(line.substr(8)));
+    }
+    return 0;
+}
+
+/** One verified SSSP solve through run(): exact ledger, correct
+ *  distances, and every worker bound once. Returns the thread that ran
+ *  each worker id; `peakThreads`, when set, is raised to the most
+ *  threads the process had while a worker started its first task. */
+std::vector<std::thread::id>
+verifiedSolve(unsigned threads, uint64_t seed,
+              unsigned *peakThreads = nullptr)
+{
+    Graph g = makeRoadGrid(40, 40, {.seed = seed});
+    auto workload = makeWorkload("sssp", g, 0);
+    workload->reset();
+    HdCpsConfig config = HdCpsScheduler::configSw();
+    config.seed = seed;
+    HdCpsScheduler sched(threads, config);
+    VerifyingScheduler verified(sched);
+    ProcessFn inner = workloadProcessFn(*workload);
+    std::vector<std::thread::id> ran(threads);
+    std::mutex ranMutex;
+    ProcessFn process = [&](unsigned tid, const Task &task,
+                            std::vector<Task> &children) {
+        {
+            std::lock_guard<std::mutex> lock(ranMutex);
+            if (peakThreads && ran[tid] == std::thread::id())
+                *peakThreads = std::max(*peakThreads, processThreads());
+            ran[tid] = std::this_thread::get_id();
+        }
+        inner(tid, task, children);
+    };
+    RunOptions options;
+    options.numThreads = threads;
+    RunResult r = run(verified, workload->initialTasks(), process, options);
+    EXPECT_TRUE(r.ok()) << threads << " threads: " << r.error;
+    std::string why;
+    EXPECT_TRUE(verified.checkComplete(false, &why))
+        << threads << " threads: " << why;
+    EXPECT_TRUE(workload->verify(&why)) << threads << " threads: " << why;
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        EXPECT_EQ(sched.workerBinds(tid), 1u)
+            << threads << " threads, worker " << tid;
+    }
+    return ran;
+}
+
+TEST(ResidentHelpers, BackToBackRunsShareHelpers)
+{
+    // Warm the pool to three helpers; after that no run of up to four
+    // workers may add a thread, and the caller always runs worker 0.
+    verifiedSolve(4, 60);
+    const unsigned before = processThreads();
+    unsigned peak = 0;
+    for (unsigned threads : {3u, 1u, 4u, 2u}) {
+        std::vector<std::thread::id> ran =
+            verifiedSolve(threads, 60 + threads, &peak);
+        if (ran[0] != std::thread::id()) {
+            EXPECT_EQ(ran[0], std::this_thread::get_id())
+                << threads << " threads";
+        }
+    }
+    if (before != 0) {
+        EXPECT_EQ(peak, before);
+    }
+}
+
+TEST(ResidentHelpers, ConcurrentRunsEachGetTheirOwnHelpers)
+{
+    EXPECT_TRUE(finishesWithin(std::chrono::seconds(60), [] {
+        std::atomic<unsigned> arrived{0};
+        std::vector<std::thread> clients;
+        for (uint64_t seed : {71u, 72u}) {
+            clients.emplace_back([seed, &arrived] {
+                arrived.fetch_add(1);
+                while (arrived.load() < 2)
+                    std::this_thread::yield();
+                verifiedSolve(3, seed);
+            });
+        }
+        for (std::thread &client : clients)
+            client.join();
+    })) << "two concurrent 3-worker runs did not finish";
+}
+
+TEST(ResidentHelpers, NestedRunInsideProcessFnFinishes)
+{
+    // A ProcessFn that itself calls run() must get fresh helpers, not
+    // wait on a lock its own run holds.
+    auto innerOk = std::make_shared<std::atomic<unsigned>>(0);
+    auto outerOk = std::make_shared<std::atomic<bool>>(false);
+    EXPECT_TRUE(finishesWithin(std::chrono::seconds(60), [innerOk,
+                                                          outerOk] {
+        HdCpsScheduler outer(2, HdCpsScheduler::configSw());
+        ProcessFn nesting = [innerOk](unsigned, const Task &task,
+                                      std::vector<Task> &) {
+            HdCpsScheduler inner(2, HdCpsScheduler::configSw());
+            VerifyingScheduler verified(inner);
+            std::atomic<int64_t> budget{200 + int64_t(task.node)};
+            RunOptions options;
+            options.numThreads = 2;
+            RunResult r = run(verified, {Task{0, task.node, 0}},
+                              steadyTree(budget), options);
+            if (r.ok() && verified.checkComplete(false))
+                innerOk->fetch_add(1);
+        };
+        RunOptions options;
+        options.numThreads = 2;
+        RunResult r = run(outer, {Task{0, 1, 0}, Task{0, 2, 0}}, nesting,
+                          options);
+        outerOk->store(r.ok());
+    })) << "the outer run deadlocked on its nested run()";
+    EXPECT_TRUE(outerOk->load());
+    EXPECT_EQ(innerOk->load(), 2u);
+}
+
+TEST(ResidentHelpers, HealthyRunAfterFailedRunOnSameHelpers)
+{
+    constexpr unsigned threads = 3;
+    {
+        ScopedFaultInjection faults;
+        faults->arm(faultsite::ExecProcessThrow, FaultMode::OneShot, 50);
+        HdCpsScheduler sched(threads, HdCpsScheduler::configSw());
+        std::atomic<int64_t> budget{1000000};
+        RunOptions options;
+        options.numThreads = threads;
+        RunResult failed =
+            run(sched, {Task{0, 1, 0}}, steadyTree(budget), options);
+        ASSERT_TRUE(failed.failed);
+    }
+    EXPECT_TRUE(finishesWithin(std::chrono::seconds(60), [] {
+        verifiedSolve(threads, 81);
+    })) << "the run after a failed run did not finish";
+}
+
+#ifdef __linux__
+cpu_set_t
+currentMask()
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+    return mask;
+}
+
+/** Pins each worker to one CPU in onWorkerStart, as a topology-aware
+ *  design does. */
+class PinningScheduler : public VerifyingScheduler
+{
+  public:
+    PinningScheduler(Scheduler &inner, unsigned cpu)
+        : VerifyingScheduler(inner), cpu_(cpu)
+    {}
+
+    void
+    onWorkerStart(unsigned tid) override
+    {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu_, &one);
+        if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0)
+            pinned.fetch_add(1);
+        VerifyingScheduler::onWorkerStart(tid);
+    }
+
+    std::atomic<unsigned> pinned{0};
+
+  private:
+    unsigned cpu_;
+};
+
+/** Records whether each worker entered the run with `expected`. */
+class MaskCheckingScheduler : public VerifyingScheduler
+{
+  public:
+    MaskCheckingScheduler(Scheduler &inner, const cpu_set_t &expected)
+        : VerifyingScheduler(inner), expected_(expected)
+    {}
+
+    void
+    onWorkerStart(unsigned tid) override
+    {
+        cpu_set_t mask = currentMask();
+        if (!CPU_EQUAL(&mask, &expected_))
+            wrongMask.fetch_add(1);
+        VerifyingScheduler::onWorkerStart(tid);
+    }
+
+    std::atomic<unsigned> wrongMask{0};
+
+  private:
+    cpu_set_t expected_;
+};
+
+TEST(ResidentHelpers, PinningDoesNotLeakIntoTheNextRun)
+{
+    const cpu_set_t original = currentMask();
+    if (CPU_COUNT(&original) < 2)
+        GTEST_SKIP() << "the process mask holds one CPU";
+    unsigned cpu = 0;
+    while (!CPU_ISSET(cpu, &original))
+        ++cpu;
+    constexpr unsigned threads = 3;
+    {
+        HdCpsScheduler sched(threads, HdCpsScheduler::configSw());
+        PinningScheduler pinning(sched, cpu);
+        std::atomic<int64_t> budget{2000};
+        RunOptions options;
+        options.numThreads = threads;
+        ASSERT_TRUE(
+            run(pinning, {Task{0, 1, 0}}, steadyTree(budget), options)
+                .ok());
+        ASSERT_EQ(pinning.pinned.load(), threads)
+            << "this host refuses to pin threads";
+    }
+    HdCpsScheduler sched(threads, HdCpsScheduler::configSw());
+    MaskCheckingScheduler checking(sched, original);
+    std::atomic<int64_t> budget{2000};
+    RunOptions options;
+    options.numThreads = threads;
+    ASSERT_TRUE(
+        run(checking, {Task{0, 1, 0}}, steadyTree(budget), options).ok());
+    EXPECT_EQ(checking.wrongMask.load(), 0u)
+        << "a worker of the next run entered it pinned";
+    cpu_set_t after = currentMask();
+    EXPECT_TRUE(CPU_EQUAL(&after, &original))
+        << "the caller left run() pinned";
+}
+#endif
+
+#ifdef __linux__
+TEST(ResidentHelpers, ForkedChildStartsWithAnEmptyPool)
+{
+#ifdef __SANITIZE_THREAD__
+    GTEST_SKIP() << "ThreadSanitizer does not start threads after a "
+                    "multi-threaded fork";
+#endif
+    // The parent has idle helpers now; the child inherits the list but
+    // not the threads, so its run() must spawn its own.
+    verifiedSolve(3, 91);
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        HdCpsScheduler sched(3, HdCpsScheduler::configSw());
+        std::atomic<int64_t> budget{2000};
+        RunOptions options;
+        options.numThreads = 3;
+        RunResult r =
+            run(sched, {Task{0, 1, 0}}, steadyTree(budget), options);
+        _exit(r.ok() ? 0 : 1);
+    }
+    int status = 0;
+    pid_t done = 0;
+    for (int round = 0; round < 600 && done == 0; ++round) {
+        done = waitpid(child, &status, WNOHANG);
+        if (done == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    if (done == 0) {
+        kill(child, SIGKILL);
+        waitpid(child, &status, 0);
+        FAIL() << "the forked child's run() hung";
+    }
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "the forked child's run() failed";
+}
+#endif
+
+/** Counts tryPop calls per worker id, failed ones included. */
+class PopCountingScheduler : public VerifyingScheduler
+{
+  public:
+    PopCountingScheduler(Scheduler &inner, unsigned threads)
+        : VerifyingScheduler(inner), pops(threads)
+    {}
+
+    bool
+    tryPop(unsigned tid, Task &out) override
+    {
+        pops[tid].value.fetch_add(1, std::memory_order_relaxed);
+        return VerifyingScheduler::tryPop(tid, out);
+    }
+
+    std::vector<Padded<std::atomic<uint64_t>>> pops;
+};
+
+TEST(ResidentHelpers, LateHelpersFinishBeforeRunReturns)
+{
+    // Drill: every helper sleeps (exec.helper.delay) far longer than
+    // the run's work takes worker 0 alone. run() must still wait for
+    // each helper to enter and leave its worker body: a helper that
+    // ran on after run() returned would use the caller's dead stack
+    // frame, which the ASan preset reports.
+    constexpr unsigned threads = 3;
+    constexpr uint64_t delayNs = 100000000; // 100 ms
+    ScopedFaultInjection faults;
+    faults->arm(faultsite::ExecHelperDelay, FaultMode::Delay,
+                double(delayNs));
+    HdCpsScheduler sched(threads, HdCpsScheduler::configSw());
+    PopCountingScheduler counting(sched, threads);
+    // Fewer seeds than one 16-task seed chunk: all land on worker 0.
+    std::vector<Task> seeds;
+    for (uint32_t node = 1; node <= 8; ++node)
+        seeds.push_back(Task{0, node, 0});
+    ProcessFn noop = [](unsigned, const Task &, std::vector<Task> &) {};
+    RunOptions options;
+    options.numThreads = threads;
+    const uint64_t startNs = nowNs();
+    RunResult r = run(counting, seeds, noop, options);
+    const uint64_t wallNs = nowNs() - startNs;
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        EXPECT_GT(counting.pops[tid].value.load(), 0u)
+            << "worker " << tid << " never popped before run() returned";
+    }
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.total.tasksProcessed, seeds.size());
+    EXPECT_EQ(faults->fireCount(faultsite::ExecHelperDelay), threads - 1);
+    EXPECT_GE(wallNs, delayNs);
+    std::string why;
+    EXPECT_TRUE(counting.checkComplete(false, &why)) << why;
 }
 
 } // namespace

@@ -18,8 +18,11 @@ fi
 
 jobs=${HDCPS_CI_JOBS:-$(nproc)}
 
+# detect_stack_use_after_return: run() keeps its RunState on the
+# caller's stack while resident helper threads use it, so a helper that
+# outlives run() must show up as a report, not as silent stack reuse.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 abort_on_error=1}"
+export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 abort_on_error=1 detect_stack_use_after_return=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
 # Only the test binaries, the CLI (for cli_metrics_smoke), the one

@@ -416,6 +416,16 @@ drawScenario(Rng &rng, uint64_t runSeed, unsigned threads,
             s.faultSpec += ",";
         s.faultSpec += "exec.process.throw:nth:" + std::to_string(nth);
     }
+
+    // A share of runs hands its helpers over late: each one sleeps up
+    // to 2 ms before it enters its worker body, and run() must still
+    // wait for every one of them.
+    if (rng.chance(0.3)) {
+        if (!s.faultSpec.empty())
+            s.faultSpec += ",";
+        s.faultSpec += "exec.helper.delay:delay:" +
+                       std::to_string(1 + rng.below(2000000));
+    }
     return s;
 }
 
@@ -465,6 +475,7 @@ struct Tally
     uint64_t reclaimedTasks = 0;
     uint64_t reclaimRuns = 0; ///< runs where reclamation moved tasks
     uint64_t pausesInjected = 0;
+    uint64_t lateHelperRuns = 0; ///< runs whose helpers started late
     uint64_t serviceRuns = 0;
     uint64_t jobsCompleted = 0; ///< service jobs that ran to completion
     uint64_t jobsRejected = 0;  ///< admission rejections (burst jobs)
@@ -527,6 +538,8 @@ runScenario(const Scenario &s, const Options &options,
     RunResult r = run(verified, workload->initialTasks(),
                       workloadProcessFn(*workload), runOptions);
     tally.pausesInjected += stragglers.injector().pausesInjected();
+    if (faults->fireCount(faultsite::ExecHelperDelay) > 0)
+        ++tally.lateHelperRuns;
 
     // Invariants first: they must hold on every run, failed or not.
     std::string why;
@@ -1253,7 +1266,8 @@ main(int argc, char **argv)
               << " graceful injected failures, " << tally.reclaimedTasks
               << " tasks reclaimed across " << tally.reclaimRuns
               << " runs, " << tally.pausesInjected
-              << " straggler pauses, " << tally.serviceRuns
+              << " straggler pauses, " << tally.lateHelperRuns
+              << " late-helper runs, " << tally.serviceRuns
               << " service runs (" << tally.jobsCompleted
               << " jobs completed, " << tally.jobsRejected
               << " admission rejections, " << tally.taskRetries
