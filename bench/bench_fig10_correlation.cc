@@ -52,7 +52,6 @@ main()
     using namespace hdcps::bench;
 
     const SimConfig config = benchConfig();
-    const uint64_t seed = benchSeed();
     const unsigned threads = 4;
     WorkloadCache workloads;
 

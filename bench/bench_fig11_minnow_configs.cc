@@ -20,7 +20,6 @@ main()
     using namespace hdcps::bench;
 
     const SimConfig config = benchConfig();
-    const uint64_t seed = benchSeed();
     WorkloadCache workloads;
 
     const std::vector<unsigned> minnowCounts = {2, 4, 6, 8, 12, 16};

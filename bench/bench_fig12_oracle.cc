@@ -24,7 +24,6 @@ main()
     using namespace hdcps::bench;
 
     const SimConfig config = benchConfig();
-    const uint64_t seed = benchSeed();
     WorkloadCache workloads;
 
     Table table({"workload", "hdcps-hw (adaptive)", "oracle",
@@ -46,7 +45,7 @@ main()
         for (unsigned tdf = 10; tdf <= 100; tdf += 10) {
             SimHdCpsConfig oracleConfig = SimHdCps::configHw();
             oracleConfig.tdfMode = SimHdCpsConfig::TdfMode::Fixed;
-            oracleConfig.fixedTdf = tdf;
+            oracleConfig.tdfPct = tdf;
             SimHdCps design(oracleConfig, "oracle");
             SimResult r = simulateMean(design, workload, config);
             requireVerified(r, combo.label() + "/oracle");

@@ -21,7 +21,7 @@ using namespace hdcps::bench;
 void
 sweep(const std::string &title, const std::vector<unsigned> &values,
       const std::function<void(SimHdCpsConfig &, unsigned)> &apply,
-      WorkloadCache &workloads, const SimConfig &config, uint64_t seed)
+      WorkloadCache &workloads, const SimConfig &config)
 {
     std::vector<std::string> header = {"value"};
     for (const Combo &combo : sweepCombos())
@@ -67,21 +67,20 @@ main()
     using namespace hdcps::bench;
 
     const SimConfig config = benchConfig();
-    const uint64_t seed = benchSeed();
     WorkloadCache workloads;
 
     sweep("Figure 13:A — drift sampling interval (tasks), vs PMOD",
           {100, 500, 1000, 2000, 2500, 5000},
           [](SimHdCpsConfig &c, unsigned v) { c.sampleInterval = v; },
-          workloads, config, seed);
+          workloads, config);
 
     sweep("Figure 13:B — TDF step size (%), vs PMOD", {5, 10, 20, 30},
           [](SimHdCpsConfig &c, unsigned v) { c.tdf.step = v; },
-          workloads, config, seed);
+          workloads, config);
 
     sweep("Figure 13:C — initial TDF (%), vs PMOD", {10, 30, 50, 70, 90},
           [](SimHdCpsConfig &c, unsigned v) { c.tdf.initial = v; },
-          workloads, config, seed);
+          workloads, config);
 
     std::cout << "Paper picks: interval 2000, step 10%, initial 50% "
                  "(initial value barely matters).\n";

@@ -19,7 +19,6 @@ main()
     using namespace hdcps::bench;
 
     const SimConfig config = benchConfig();
-    const uint64_t seed = benchSeed();
     WorkloadCache workloads;
 
     std::vector<std::string> header = {"min-bag-size"};

@@ -21,7 +21,6 @@ main()
     using namespace hdcps::bench;
 
     const SimConfig config = benchConfig();
-    const uint64_t seed = benchSeed();
     WorkloadCache workloads;
 
     const std::vector<std::string> variants = {

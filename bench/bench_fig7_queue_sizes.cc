@@ -20,7 +20,6 @@ main()
     using namespace hdcps::bench;
 
     const SimConfig config = benchConfig();
-    const uint64_t seed = benchSeed();
     WorkloadCache workloads;
 
     const std::vector<std::pair<uint32_t, uint32_t>> sizes = {

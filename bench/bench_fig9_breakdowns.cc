@@ -18,7 +18,6 @@ main()
     using namespace hdcps::bench;
 
     const SimConfig config = benchConfig();
-    const uint64_t seed = benchSeed();
     WorkloadCache workloads;
 
     Table table({"workload", "design", "norm-time", "enq", "deq", "cmp",

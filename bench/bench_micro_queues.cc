@@ -8,8 +8,8 @@
  * (RELD's enqueue path) and the receive queue (HD-CPS's enqueue path)
  * — the software-side motivation for Figure 5's sRQ gains. The
  * scenario section drives a whole HdCpsScheduler (and the threaded
- * runtime) through remote-heavy traffic so batched sRQ transfer,
- * pooled bags, and distributed termination show up as one number.
+ * runtime) through remote-heavy traffic so sRQ transfer, pooled bags,
+ * and distributed termination show up as one number.
  *
  * The local_backend scenario quantifies the relaxed-vs-exact queue
  * tradeoff from the MultiQueue modernization: MultiQueue churn at
@@ -20,10 +20,6 @@
  * Results are mirrored into a machine-readable JSON file (default
  * BENCH_micro.json, override with HDCPS_BENCH_JSON_OUT) that
  * tools/bench_compare validates and diffs across revisions.
- *
- * HDCPS_BENCH_HAVE_BATCH_API gates benchmarks of APIs added with the
- * batching overhaul, so this same file also compiles against the
- * pre-overhaul tree to produce baseline numbers.
  */
 
 #include <benchmark/benchmark.h>
@@ -36,6 +32,7 @@
 #include <vector>
 
 #include "core/bag_policy.h"
+#include "core/bag_pool.h"
 #include "core/hdcps.h"
 #include "core/recv_queue.h"
 #include "cps/multiqueue.h"
@@ -47,10 +44,6 @@
 #include "support/rng.h"
 
 #include "bench_common.h"
-
-#ifdef HDCPS_BENCH_HAVE_BATCH_API
-#include "core/bag_pool.h"
-#endif
 
 namespace {
 
@@ -136,8 +129,6 @@ BM_BagPolicyPlan(benchmark::State &state)
 }
 BENCHMARK(BM_BagPolicyPlan);
 
-#ifdef HDCPS_BENCH_HAVE_BATCH_API
-
 void
 BM_ReceiveQueueBatchTransfer(benchmark::State &state)
 {
@@ -185,20 +176,17 @@ BM_BagPoolAcquireRelease(benchmark::State &state)
 }
 BENCHMARK(BM_BagPoolAcquireRelease);
 
-#endif // HDCPS_BENCH_HAVE_BATCH_API
-
 /**
  * The perf gate's headline scenario: remote-heavy traffic (95% TDF, 8
  * workers, per-task envelopes) through a full HdCpsScheduler, driven
  * round-robin by one thread so the number is deterministic and
  * host-core-count independent. Every iteration pushes one 256-task
- * batch as worker k — ~34 tasks per remote destination, enough that
- * send combining engages — and pops all 256 back out (rotating over
- * workers until found), so throughput prices the whole transfer
- * pipeline: envelope routing, sRQ claims, drain, bulk heap build.
- * Bagged transfer has its own end-to-end scenario (pipeline_spawn);
- * this one keeps BagMode::None so the number isolates the per-task
- * path that batching overhauled.
+ * batch as worker k — ~34 tasks per remote destination — and pops all
+ * 256 back out (rotating over workers until found), so throughput
+ * prices the whole transfer pipeline: envelope routing, one sRQ claim
+ * per remote task, drain, bulk heap build. Bagged transfer has its own
+ * end-to-end scenario (pipeline_spawn); this one keeps BagMode::None so
+ * the number isolates the per-task path.
  */
 void
 BM_HdCpsRemoteHeavy(benchmark::State &state)
@@ -206,8 +194,7 @@ BM_HdCpsRemoteHeavy(benchmark::State &state)
     constexpr unsigned kWorkers = 8;
     constexpr size_t kBatch = 256;
     HdCpsConfig config;
-    config.useTdf = false;
-    config.fixedTdf = 95;
+    config.tdf = 95;
     config.bags.mode = BagMode::None;
     HdCpsScheduler sched(kWorkers, config);
     Rng rng(8);
@@ -250,7 +237,7 @@ BENCHMARK(BM_HdCpsRemoteHeavy);
  */
 struct ScenarioShape
 {
-    unsigned fixedTdf;   ///< distribution %, steady phases
+    unsigned tdf;        ///< distribution %, steady phases
     size_t batch;        ///< tasks per pushBatch
     bool rotateProducer; ///< false = worker 0 produces everything
     unsigned burstEvery; ///< 0 = steady; else every k-th batch is 4x
@@ -265,8 +252,7 @@ runHdCpsScenario(benchmark::State &state, const ScenarioShape &shape,
 {
     constexpr unsigned kWorkers = 8;
     HdCpsConfig config;
-    config.useTdf = false;
-    config.fixedTdf = shape.fixedTdf;
+    config.tdf = shape.tdf;
     config.bags.mode = BagMode::None;
     if (numa) {
         config.topology = Topology::synthetic(2, 4);
@@ -342,10 +328,9 @@ runHdCpsScenario(benchmark::State &state, const ScenarioShape &shape,
 /** local_heavy: 80% of children stay on the producing worker and
  *  batches are small, so the number prices the private-PQ path with a
  *  trickle of remote traffic — the regime where hierarchical routing
- *  concentrates that trickle on same-node peers: fewer dirty combining
- *  buffers per flush and a drain that never leaves the node. The
- *  per-batch costs those savings amortize are a fixed overhead, so the
- *  small batch is what makes the locality signal visible at all. */
+ *  concentrates that trickle on same-node peers, whose drains never
+ *  leave the node. The small batch is what makes the locality signal
+ *  visible at all. */
 void
 BM_HdCpsLocalHeavyFlat(benchmark::State &state)
 {
@@ -358,15 +343,13 @@ BM_HdCpsLocalHeavyNuma(benchmark::State &state)
 {
     // crossNodePct 0: at low drift the hierarchy keeps every remote
     // push on-node, concentrating the trickle on 3 same-node peers
-    // instead of 7 — fewer dirty combining buffers per batch, and
-    // each flush moves more tasks per tryPushN claim.
+    // instead of 7.
     runHdCpsScenario(state, {20, 32, true, 0, 0}, true);
 }
 BENCHMARK(BM_HdCpsLocalHeavyNuma);
 
 /** bursty: every 4th batch is 4x the steady size at 50% distribution,
- *  alternating drain pressure between the combining buffers and the
- *  private PQs. */
+ *  alternating drain pressure between the sRQs and the private PQs. */
 void
 BM_HdCpsBurstyFlat(benchmark::State &state)
 {
@@ -383,7 +366,7 @@ BENCHMARK(BM_HdCpsBurstyNuma);
 
 /** skewed_destination: one hot producer (worker 0) fans out at 95%
  *  distribution while pops rotate — the all-roads-lead-away-from-one-
- *  core shape that stresses per-destination staging. */
+ *  core shape that stresses the remote send path. */
 void
 BM_HdCpsSkewedDestinationFlat(benchmark::State &state)
 {
@@ -411,8 +394,7 @@ BM_HdCpsPipelineSpawn(benchmark::State &state)
     uint64_t tasks = 0;
     for (auto _ : state) {
         HdCpsConfig config;
-        config.useTdf = false;
-        config.fixedTdf = 95;
+        config.tdf = 95;
         config.bags.mode = BagMode::Selective;
         config.seed = 9;
         HdCpsScheduler sched(kThreads, config);
@@ -563,8 +545,7 @@ BM_LocalBackendPushPop(benchmark::State &state)
 {
     constexpr size_t kBatch = 256;
     HdCpsConfig config = SchedT::configSw();
-    config.useTdf = false;
-    config.fixedTdf = 0;
+    config.tdf = 0;
     config.bags.mode = BagMode::None;
     config.seed = 12;
     SchedT sched(1, config);

@@ -124,7 +124,7 @@ class BagPool
      * calling thread. The scheduler's buffer-placement phase calls
      * this with the caller pinned to the worker's node, so the
      * kernel's first-touch policy homes pooled envelopes on the node
-     * that owns them — exactly like the sRQ ring and the send arena.
+     * that owns them — exactly like the sRQ ring.
      * Owner-context only (plain free-list pushes, like acquire).
      * Prewarmed envelopes are placement, not demand misses: they
      * count in prewarmed(), never in allocations().

@@ -48,11 +48,6 @@ unlockReclaim(std::atomic<uint32_t> &lock)
  *  returns start refilling the free list. */
 constexpr size_t kBagPoolPrewarm = 4;
 
-/** Envelopes staged per destination before an eager combining-buffer
- *  flush (pushBatch always flushes everything at batch end, so this
- *  only bounds the staging memory of very large batches). */
-constexpr size_t kSendFlushThreshold = 16;
-
 /** Internal heaps per worker for the relaxed local-PQ backend
  *  (RelaxedMqLocalPq ways; ignored by the exact DAry backend). */
 constexpr unsigned kLocalPqWays = 4;
@@ -67,7 +62,7 @@ BasicHdCpsScheduler<LocalPqT>::BasicHdCpsScheduler(unsigned numWorkers,
 {
     hdcps_check(numWorkers >= 1, "need at least one worker");
     hdcps_check(config.sampleInterval >= 1, "sample interval must be >= 1");
-    hdcps_check(config.fixedTdf <= 100, "fixedTdf is a percentage");
+    hdcps_check(config.tdf <= 100, "tdf is a percentage");
     hdcps_check(config.crossNodePct <= 100 ||
                     config.crossNodePct == kCrossNodeFollowTdf,
                 "crossNodePct is a percentage (or kCrossNodeFollowTdf)");
@@ -76,7 +71,7 @@ BasicHdCpsScheduler<LocalPqT>::BasicHdCpsScheduler(unsigned numWorkers,
     // for the exact heap, "hdcps-mq" for the relaxed MultiQueue); the
     // mechanism suffixes stack on top as before.
     name_ = LocalPq::kBaseName;
-    if (config_.useTdf)
+    if (config_.tdf < kSrqTdf)
         name_ += "-tdf";
     if (config_.bags.mode == BagMode::Always)
         name_ += "-ac";
@@ -123,7 +118,7 @@ BasicHdCpsScheduler<LocalPqT>::BasicHdCpsScheduler(unsigned numWorkers,
 
     // Buffer placement. The kernel's first-touch policy puts a page on
     // the node of the thread that first writes it, so on a pinnable
-    // multi-node topology each worker's sRQ ring and send arena are
+    // multi-node topology each worker's sRQ ring and bag pool are
     // allocated+touched by a short-lived thread pinned to that worker's
     // node. This happens here, before any traffic exists, because
     // swapping buffers later (e.g. in onWorkerStart) would race
@@ -151,17 +146,14 @@ void
 BasicHdCpsScheduler<LocalPqT>::placeWorkerBuffers(unsigned tid)
 {
     // Everything here allocates *and writes* on the calling thread —
-    // the ring constructor initializes every slot's sequence number and
-    // the vector fills zero their elements — so first-touch placement
-    // follows the caller's pinning.
+    // the ring constructor initializes every slot's sequence number — so
+    // first-touch placement follows the caller's pinning.
     WorkerState &w = *workers_[tid];
     w.rq = std::make_unique<ReceiveQueue<Envelope>>(config_.rqCapacity);
-    w.sendArena.resize(size_t(numWorkers()) * kSendFlushThreshold);
-    w.sendCount.assign(numWorkers(), 0);
-    // Bag envelopes follow the same first-touch policy as the ring and
-    // the arena: prewarm a handful of pool nodes on the owning thread
-    // so the envelopes this worker forms bags from start out homed on
-    // its node instead of wherever the first demand miss ran.
+    // Bag envelopes follow the same first-touch policy as the ring:
+    // prewarm a handful of pool nodes on the owning thread so the
+    // envelopes this worker forms bags from start out homed on its
+    // node instead of wherever the first demand miss ran.
     if (config_.bags.mode != BagMode::None)
         pool_.placeSlot(tid, kBagPoolPrewarm);
 }
@@ -211,15 +203,6 @@ BasicHdCpsScheduler<LocalPqT>::~BasicHdCpsScheduler()
             if (envelope.bag)
                 pool_.release(tid, envelope.bag);
         }
-        for (unsigned d = 0; d < numWorkers(); ++d) {
-            const Envelope *seg =
-                w.sendArena.data() + size_t(d) * kSendFlushThreshold;
-            for (uint32_t i = 0; i < w.sendCount[d]; ++i) {
-                if (seg[i].bag)
-                    pool_.release(tid, seg[i].bag);
-            }
-            w.sendCount[d] = 0;
-        }
         while (!w.pq.empty()) {
             PqEntry entry = w.pq.pop();
             if (entry.bag)
@@ -233,7 +216,6 @@ HdCpsConfig
 BasicHdCpsScheduler<LocalPqT>::configSrq()
 {
     HdCpsConfig config;
-    config.useTdf = false;
     config.bags.mode = BagMode::None;
     return config;
 }
@@ -243,7 +225,7 @@ HdCpsConfig
 BasicHdCpsScheduler<LocalPqT>::configSrqTdf()
 {
     HdCpsConfig config;
-    config.useTdf = true;
+    config.tdf = kHdCpsTdf;
     config.bags.mode = BagMode::None;
     return config;
 }
@@ -253,7 +235,7 @@ HdCpsConfig
 BasicHdCpsScheduler<LocalPqT>::configSrqTdfAc()
 {
     HdCpsConfig config;
-    config.useTdf = true;
+    config.tdf = kHdCpsTdf;
     config.bags.mode = BagMode::Always;
     return config;
 }
@@ -263,16 +245,9 @@ HdCpsConfig
 BasicHdCpsScheduler<LocalPqT>::configSw()
 {
     HdCpsConfig config;
-    config.useTdf = true;
+    config.tdf = kHdCpsTdf;
     config.bags.mode = BagMode::Selective;
     return config;
-}
-
-template <template <typename, typename> class LocalPqT>
-unsigned
-BasicHdCpsScheduler<LocalPqT>::currentTdf() const
-{
-    return config_.useTdf ? kHdCpsTdf : config_.fixedTdf;
 }
 
 template <template <typename, typename> class LocalPqT>
@@ -294,8 +269,7 @@ BasicHdCpsScheduler<LocalPqT>::sizeApprox() const
     size_t total = 0;
     for (const auto &w : workers_) {
         total += w->rq->sizeApprox() + w->overflow.size() +
-                 w->localBuffered.load(std::memory_order_relaxed) +
-                 w->stagedTasks.load(std::memory_order_relaxed);
+                 w->localBuffered.load(std::memory_order_relaxed);
     }
     return total;
 }
@@ -367,15 +341,6 @@ BasicHdCpsScheduler<LocalPqT>::reclaimWorker(unsigned reclaimer,
 
     // Everything the victim buffered, re-enveloped for redistribution.
     std::vector<Envelope> moved;
-    for (unsigned d = 0; d < n; ++d) {
-        const Envelope *seg =
-            v.sendArena.data() + size_t(d) * kSendFlushThreshold;
-        for (uint32_t i = 0; i < v.sendCount[d]; ++i)
-            moved.push_back(seg[i]);
-        v.sendCount[d] = 0;
-    }
-    v.dirtySends.clear();
-    v.stagedTasks.store(0, std::memory_order_relaxed);
     Envelope envelope;
     while (v.rq->drainPop(envelope))
         moved.push_back(envelope);
@@ -564,9 +529,18 @@ BasicHdCpsScheduler<LocalPqT>::enqueueLocal(unsigned tid, WorkerState &w,
 
 template <template <typename, typename> class LocalPqT>
 void
-BasicHdCpsScheduler<LocalPqT>::spillToOverflow(unsigned from, unsigned dest,
-                                const Envelope &envelope)
+BasicHdCpsScheduler<LocalPqT>::sendRemote(unsigned from, unsigned dest,
+                                          const Envelope &envelope)
 {
+    bumpCounter(workers_[from]->stats.remoteEnqueues);
+    if (metrics_)
+        metrics_->add(from, WorkerCounter::RemoteEnqueues);
+    // The fault site forces the spill without consuming sRQ slots, so
+    // the overflow path is testable independent of queue capacity.
+    if (!faultFires(faultsite::HdcpsOverflowSpill) &&
+        workers_[dest]->rq->tryPush(envelope)) {
+        return;
+    }
     // sRQ full (or fault-forced): spill to the destination's locked
     // overflow queue. Bags are unpacked here — the overflow path is the
     // slow path anyway — and their envelopes go back to the pool.
@@ -587,123 +561,25 @@ BasicHdCpsScheduler<LocalPqT>::spillToOverflow(unsigned from, unsigned dest,
 
 template <template <typename, typename> class LocalPqT>
 void
-BasicHdCpsScheduler<LocalPqT>::deliver(unsigned from, unsigned dest,
-                        const Envelope &envelope)
-{
-    if (dest == from) {
-        // With reclamation on, the PQ is no longer owner-exclusive, so
-        // take our own lock.
-        WorkerState &w = *workers_[from];
-        const bool guarded =
-            reclaimAfterNs_.load(std::memory_order_relaxed) != 0;
-        if (guarded)
-            lockReclaim(w.reclaimLock);
-        enqueueLocal(from, w, envelope);
-        if (guarded)
-            unlockReclaim(w.reclaimLock);
-        return;
-    }
-    bumpCounter(workers_[from]->stats.remoteEnqueues);
-    if (metrics_)
-        metrics_->add(from, WorkerCounter::RemoteEnqueues);
-    // The fault site forces the spill without consuming sRQ slots, so
-    // the overflow path is testable independent of queue capacity.
-    if (!faultFires(faultsite::HdcpsOverflowSpill) &&
-        workers_[dest]->rq->tryPush(envelope)) {
-        return;
-    }
-    spillToOverflow(from, dest, envelope);
-}
-
-template <template <typename, typename> class LocalPqT>
-void
-BasicHdCpsScheduler<LocalPqT>::stageRemote(unsigned from, unsigned dest,
-                            const Envelope &envelope)
-{
-    // Combining buffer: park the envelope per destination; flushDest
-    // ships the whole run with one multi-slot sRQ claim. Caller holds
-    // the owner's reclaimLock when reclamation is armed, so a reclaimer
-    // never observes a half-staged buffer.
-    WorkerState &w = *workers_[from];
-    bumpCounter(w.stats.remoteEnqueues);
-    if (metrics_)
-        metrics_->add(from, WorkerCounter::RemoteEnqueues);
-    const size_t cap = kSendFlushThreshold;
-    uint32_t n = w.sendCount[dest];
-    if (n == 0)
-        w.dirtySends.push_back(dest);
-    w.sendArena[size_t(dest) * cap + n] = envelope;
-    w.sendCount[dest] = ++n;
-    bumpCounter(w.stagedTasks, envelope.bag ? envelope.bag->tasks.size()
-                                            : size_t(1));
-    if (n >= cap)
-        flushDest(from, dest);
-}
-
-template <template <typename, typename> class LocalPqT>
-void
-BasicHdCpsScheduler<LocalPqT>::flushDest(unsigned from, unsigned dest)
-{
-    WorkerState &w = *workers_[from];
-    const uint32_t staged = w.sendCount[dest];
-    if (staged == 0)
-        return;
-    const Envelope *buf =
-        w.sendArena.data() + size_t(dest) * kSendFlushThreshold;
-    bumpCounter(w.stats.srqBatchFlushes);
-    if (metrics_)
-        metrics_->add(from, WorkerCounter::SrqBatchFlushes);
-    // Tally the staged weight from the (cache-warm) segment at flush
-    // time, rather than maintaining a per-destination running total on
-    // every staged task. Must happen before the spill fallback below:
-    // spilling a bag releases its envelope back to the pool.
-    size_t weight = 0;
-    for (uint32_t i = 0; i < staged; ++i)
-        weight += buf[i].bag ? buf[i].bag->tasks.size() : size_t(1);
-    size_t pushed = 0;
-    // One fault check per flush: a firing site forces the whole run
-    // down the spill path, same observable outcome as a full sRQ.
-    if (!faultFires(faultsite::HdcpsOverflowSpill)) {
-        ReceiveQueue<Envelope> &rq = *workers_[dest]->rq;
-        while (pushed < staged) {
-            size_t n = rq.tryPushN(buf + pushed, staged - pushed);
-            if (n == 0)
-                break; // destination full: spill the remainder
-            pushed += n;
-        }
-    }
-    for (size_t i = pushed; i < staged; ++i)
-        spillToOverflow(from, dest, buf[i]);
-    w.stagedTasks.store(w.stagedTasks.load(std::memory_order_relaxed) -
-                            weight,
-                        std::memory_order_relaxed);
-    w.sendCount[dest] = 0;
-}
-
-template <template <typename, typename> class LocalPqT>
-void
-BasicHdCpsScheduler<LocalPqT>::flushSends(unsigned tid)
-{
-    WorkerState &w = *workers_[tid];
-    if (w.dirtySends.empty())
-        return;
-    // dirtySends may hold duplicates after an eager threshold flush;
-    // flushDest on an already-empty buffer is a no-op, so that's fine.
-    for (unsigned dest : w.dirtySends)
-        flushDest(tid, dest);
-    w.dirtySends.clear();
-}
-
-template <template <typename, typename> class LocalPqT>
-void
 BasicHdCpsScheduler<LocalPqT>::push(unsigned tid, const Task &task)
 {
-    // Singles bypass the combining buffers: push() has no batch end to
-    // flush at, and staying direct keeps the one-task latency path
-    // identical to the original design.
     Envelope envelope;
     envelope.task = task;
-    deliver(tid, chooseDest(tid, currentTdf()), envelope);
+    const unsigned dest = chooseDest(tid, currentTdf());
+    if (dest != tid) {
+        sendRemote(tid, dest, envelope);
+        return;
+    }
+    // With reclamation on, the PQ is no longer owner-exclusive, so take
+    // our own lock.
+    WorkerState &w = *workers_[tid];
+    const bool guarded =
+        reclaimAfterNs_.load(std::memory_order_relaxed) != 0;
+    if (guarded)
+        lockReclaim(w.reclaimLock);
+    enqueueLocal(tid, w, envelope);
+    if (guarded)
+        unlockReclaim(w.reclaimLock);
 }
 
 template <template <typename, typename> class LocalPqT>
@@ -718,9 +594,8 @@ BasicHdCpsScheduler<LocalPqT>::pushBatch(unsigned tid, const Task *tasks, size_t
     const bool guarded =
         reclaimAfterNs_.load(std::memory_order_relaxed) != 0;
     // The owner's lock is held across the whole batch when reclamation
-    // is armed: it covers the local PQ inserts *and* the combining
-    // buffers, so a reclaimer sees envelopes either staged or flushed,
-    // never a torn buffer.
+    // is armed: the local PQ inserts need it, and one acquire per batch
+    // is cheaper than one per local child.
     if (guarded)
         lockReclaim(w.reclaimLock);
 
@@ -732,7 +607,7 @@ BasicHdCpsScheduler<LocalPqT>::pushBatch(unsigned tid, const Task *tasks, size_t
         if (dest == tid)
             enqueueLocal(tid, w, envelope);
         else
-            stageRemote(tid, dest, envelope);
+            sendRemote(tid, dest, envelope);
     };
 
     if (count < config_.bags.smallestBag()) {
@@ -769,9 +644,6 @@ BasicHdCpsScheduler<LocalPqT>::pushBatch(unsigned tid, const Task *tasks, size_t
             });
     }
 
-    // End-of-batch flush: the Scheduler contract says pushed tasks are
-    // poppable once pushBatch returns, so no envelope may stay staged.
-    flushSends(tid);
     if (guarded)
         unlockReclaim(w.reclaimLock);
 }
@@ -829,14 +701,6 @@ template <template <typename, typename> class LocalPqT>
 bool
 BasicHdCpsScheduler<LocalPqT>::popLocal(unsigned tid, WorkerState &w, Task &out)
 {
-    // Flush-on-pop: anything still staged in the combining buffers goes
-    // out before we look for work, so a worker never sits on envelopes
-    // it owes peers while it idles or drains its own queue. pushBatch
-    // always flushes at batch end, so this is one relaxed load of an
-    // owner-written counter in the common case.
-    if (w.stagedTasks.load(std::memory_order_relaxed) != 0)
-        flushSends(tid);
-
     // A dequeued bag binds the core until its tasks are done
     // (Section III-B) — serve the active bag first.
     if (!w.activeBag.empty()) {
@@ -900,8 +764,7 @@ BasicHdCpsScheduler<LocalPqT>::reclaimFromStraggler(unsigned tid, uint64_t stale
             return; // fresh heartbeat: not a straggler
         // Lock-free pre-check: a stale-but-empty peer strands nothing.
         if (victim.rq->sizeApprox() == 0 && victim.overflow.size() == 0 &&
-            victim.localBuffered.load(std::memory_order_relaxed) == 0 &&
-            victim.stagedTasks.load(std::memory_order_relaxed) == 0) {
+            victim.localBuffered.load(std::memory_order_relaxed) == 0) {
             return;
         }
         sawStale = true;
@@ -915,21 +778,7 @@ BasicHdCpsScheduler<LocalPqT>::reclaimFromStraggler(unsigned tid, uint64_t stale
             return;
         }
         // Drain *everything* the victim buffered — sRQ, overflow spill,
-        // active bag, its private PQ, and its send combining buffers (a
-        // worker that stalled mid-pushBatch owes those envelopes to its
-        // peers; with the victim's lock held they are ours to take).
-        for (unsigned d = 0; d < n; ++d) {
-            const Envelope *seg = victim.sendArena.data() +
-                                  size_t(d) * kSendFlushThreshold;
-            for (uint32_t i = 0; i < victim.sendCount[d]; ++i) {
-                const Envelope &e = seg[i];
-                moved += e.bag ? e.bag->tasks.size() : size_t(1);
-                me.pq.push(makeEntry(e.task, e.bag));
-            }
-            victim.sendCount[d] = 0;
-        }
-        victim.dirtySends.clear();
-        victim.stagedTasks.store(0, std::memory_order_relaxed);
+        // active bag and its private PQ.
         Envelope envelope;
         while (victim.rq->tryPop(envelope)) {
             moved += envelope.bag ? envelope.bag->tasks.size() : 1;
@@ -1031,38 +880,19 @@ BasicHdCpsScheduler<LocalPqT>::sampleNow(unsigned tid, Priority poppedPriority)
             }
         }
     }
-    if (!config_.useTdf)
+    if (tid != 0)
         return;
 
-    // A drift round closes once a full round of reports has arrived
-    // (the paper's dedicated core reduces "after receiving task
-    // priorities from all cores"), independent of any single worker's
-    // progress. The reduction is cheap and rare; a mutex keeps the
-    // drift series consistent, and try_lock keeps the path
-    // non-blocking for everyone who loses the race.
-    unsigned round = publishRound_.fetch_add(1,
-                                             std::memory_order_acq_rel) +
-                     1;
-    if (round < numWorkers())
-        return;
-    if (!updateMutex_.try_lock())
-        return;
-    // Subtracting one full round (rather than storing 0) keeps the
-    // reports that raced in between the winning fetch_add and this
-    // reset: discarding them stretched sampling intervals under
-    // contention.
-    publishRound_.fetch_sub(numWorkers(), std::memory_order_relaxed);
-    double drift = drift_.computeDrift();
+    // Worker 0 closes a drift sample at its own sample boundary — the
+    // rule run() uses for its Eq. 1 series. One writer, so the drift
+    // series and the global series below need no lock.
+    const double drift = drift_.computeDrift();
     driftSeries_.record(drift);
     if (metrics_) {
         metrics_->recordGlobal(GlobalSeries::TdfDrift, drift);
-        metrics_->recordGlobal(GlobalSeries::Tdf,
-                               static_cast<double>(kHdCpsTdf));
         if (hierarchical_) {
             // Cumulative cross-node share of remote sends so far, the
-            // observable output of the hierarchical split. Recorded
-            // here because the try_lock serializes writers, matching
-            // recordGlobal's contract.
+            // observable output of the hierarchical split.
             const uint64_t cross = crossNodeEnqueues();
             const uint64_t total = cross + sameNodeEnqueues();
             if (total != 0) {
@@ -1072,7 +902,6 @@ BasicHdCpsScheduler<LocalPqT>::sampleNow(unsigned tid, Priority poppedPriority)
             }
         }
     }
-    updateMutex_.unlock();
 }
 
 // The two shipped backends (see core/local_pq.h). Keeping the member

@@ -9,10 +9,11 @@
  *    from processing; the per-core priority queue becomes private to
  *    its owner, so no PQ operation ever takes a lock.
  *  - **TDF**: the fraction of children sent to random remote cores.
- *    The threaded design runs a fixed kHdCpsTdf and keeps the drift
- *    samples published every `sampleInterval` tasks (Algorithm 3) as a
- *    series; the paper's Algorithm 2 hill-climber (core/tdf.h) runs in
- *    the simulated HD-CPS only (DESIGN.md §6.1 says why).
+ *    The threaded design routes at a fixed percentage (kHdCpsTdf for
+ *    the TDF presets) and keeps the drift samples published every
+ *    `sampleInterval` tasks (Algorithm 3) as a series; the paper's
+ *    Algorithm 2 hill-climber (core/tdf.h) runs in the simulated HD-CPS
+ *    only (DESIGN.md §6.1 says why).
  *  - **Bags**: children with equal priorities are bundled (Algorithm 1)
  *    either always ("AC") or selectively within the size window ("SC",
  *    the shipping configuration).
@@ -39,7 +40,6 @@
 #define HDCPS_CORE_HDCPS_H_
 
 #include <atomic>
-#include <mutex>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,19 +62,23 @@ namespace hdcps {
  *  wider reach (see chooseDest). */
 inline constexpr unsigned kCrossNodeFollowTdf = 255;
 
-/** The TDF of every design with useTdf set. On the 3-worker benchmark
- *  host 5-10% is the best fixed TDF for run() solves and service jobs
+/** The TDF of the three TDF presets. On the 3-worker benchmark host
+ *  5-10% is the best fixed TDF for run() solves and service jobs
  *  (EXPERIMENTS.md, "Threaded TDF oracle and the payoff controller");
  *  DESIGN.md §6.1 says why no controller adapts it. Above 0 on
  *  purpose: at 0% a solve stays on the worker that holds its seed. */
 inline constexpr unsigned kHdCpsTdf = 5;
 
+/** The sRQ-only design's distribution % (configSrq): with no TDF it
+ *  sprays children like RELD, nearly all to random remote workers. A
+ *  design that keeps more children local is named "-tdf". */
+inline constexpr unsigned kSrqTdf = 98;
+
 /** All HD-CPS:SW tunables (paper defaults). */
 struct HdCpsConfig
 {
     size_t rqCapacity = 256;        ///< sRQ entries per core
-    bool useTdf = false;            ///< kHdCpsTdf + drift rounds
-    unsigned fixedTdf = 98;         ///< distribution % when TDF is off
+    unsigned tdf = kSrqTdf;         ///< % of children sent remote
     unsigned sampleInterval = 2000; ///< tasks per drift sample (Alg. 3)
     BagPolicy bags{BagMode::None, BagTransport::Pull, 3, 10};
     uint64_t seed = 1;
@@ -145,7 +149,7 @@ class BasicHdCpsScheduler : public Scheduler
 
     /**
      * Supervisor-initiated drain of worker `victim`'s buffered tasks —
-     * sRQ, overflow, active bag, send arena, private PQ — redistributed
+     * sRQ, overflow, active bag, private PQ — redistributed
      * into the *other* workers' sRQs (overflow on full), starting the
      * round-robin at `reclaimer`. Unlike the peer path this bypasses
      * heartbeat staleness and never touches any owner-private state of
@@ -164,14 +168,13 @@ class BasicHdCpsScheduler : public Scheduler
     static HdCpsConfig configSrqTdfAc();
     static HdCpsConfig configSw(); ///< sRQ + TDF + SC == HD-CPS:SW
 
-    /** Current TDF percentage: kHdCpsTdf, or fixedTdf when TDF is
-     *  off. */
-    unsigned currentTdf() const;
+    /** The TDF percentage routing uses (HdCpsConfig::tdf). */
+    unsigned currentTdf() const { return config_.tdf; }
 
     /** Drift tracker (exposed for tests and the figure harnesses). */
     const DriftTracker &driftTracker() const { return drift_; }
 
-    /** Average of the drift samples the master took (Eq. 1 series). */
+    /** Average of the drift samples worker 0 took (Eq. 1 series). */
     double averageDrift() const;
 
     uint64_t bagsCreated() const
@@ -234,13 +237,10 @@ class BasicHdCpsScheduler : public Scheduler
         return sumStat(&WorkerState::Stats::sameNodeEnqueues);
     }
 
-    /** Combining-buffer flushes into remote sRQs (each flush claims the
-     *  destination's slots with at most a few CASes instead of one per
-     *  envelope). */
-    uint64_t srqBatchFlushes() const
-    {
-        return sumStat(&WorkerState::Stats::srqBatchFlushes);
-    }
+    /** sRQ claims made by remote sends. Every remote send claims one
+     *  slot of its destination's sRQ (or spills), so this equals
+     *  remoteEnqueues(). */
+    uint64_t srqBatchFlushes() const { return remoteEnqueues(); }
 
     /** Bag envelopes served from the pool instead of the allocator. */
     uint64_t poolRecycled() const { return pool_.recycled(); }
@@ -349,26 +349,6 @@ class BasicHdCpsScheduler : public Scheduler
         uint64_t reclaimBackoffNs = 0;
         uint64_t reclaimBackoffUntilNs = 0;
 
-        /**
-         * Send combining buffers: envelopes staged per destination
-         * during pushBatch, shipped with one multi-slot sRQ claim per
-         * flush instead of one CAS per envelope. Owner-only, except
-         * under the owner's reclaimLock when reclamation is armed (a
-         * reclaimer drains a straggler's staged envelopes too).
-         *
-         * One flat arena instead of a vector-of-vectors: destination
-         * d's segment is sendArena[d * kSendFlushThreshold ..), with
-         * sendCount[d] staged entries. The eager threshold flush keeps
-         * every segment within its fixed capacity, and staging becomes
-         * one indexed store with no per-destination heap allocation or
-         * pointer chase on the hot path.
-         */
-        std::vector<Envelope> sendArena;
-        std::vector<uint32_t> sendCount;  ///< envelopes staged per dest
-        std::vector<unsigned> dirtySends; ///< dests with staged envelopes
-        /** Tasks currently staged across the send arena, published
-         *  for sizeApprox and the idle flush check. */
-        std::atomic<size_t> stagedTasks{0};
         /** Reused pushBatch buffer for planRanges (no per-batch copy). */
         std::vector<Task> planScratch;
         /** Reused drainIncoming buffer feeding DAryHeap::pushBulk. */
@@ -389,19 +369,15 @@ class BasicHdCpsScheduler : public Scheduler
             std::atomic<uint64_t> overflowPushes{0};
             std::atomic<uint64_t> bagsCreated{0};
             std::atomic<uint64_t> tasksInBags{0};
-            std::atomic<uint64_t> srqBatchFlushes{0};
             std::atomic<uint64_t> crossNodeEnqueues{0};
             std::atomic<uint64_t> sameNodeEnqueues{0};
         };
         Stats stats;
     };
 
-    /** Single-writer increment for the distributed counters above (and
-     *  stagedTasks, whose writers are serialized by the reclaim lock
-     *  whenever more than the owner can touch it). */
-    template <typename T>
+    /** Single-writer increment for the distributed counters above. */
     static void
-    bumpCounter(std::atomic<T> &counter, T n = 1)
+    bumpCounter(std::atomic<uint64_t> &counter, uint64_t n = 1)
     {
         counter.store(counter.load(std::memory_order_relaxed) + n,
                       std::memory_order_relaxed);
@@ -417,30 +393,21 @@ class BasicHdCpsScheduler : public Scheduler
         return total;
     }
 
-    /** First-touch allocation of one worker's buffers (sRQ ring, send
-     *  arena, scratch). Called from a thread pinned to the worker's
-     *  node when the topology is multi-node and pinnable; inline in
-     *  the ctor otherwise. */
+    /** First-touch allocation of one worker's buffers (sRQ ring, bag
+     *  pool prewarm). Called from a thread pinned to the worker's node
+     *  when the topology is multi-node and pinnable; inline in the ctor
+     *  otherwise. */
     void placeWorkerBuffers(unsigned tid);
-    void deliver(unsigned from, unsigned dest, const Envelope &envelope);
     unsigned chooseDest(unsigned tid, unsigned tdf);
     /** Local enqueue straight into the private PQ (caller holds the
      *  owner's reclaimLock when reclamation is armed). */
     void enqueueLocal(unsigned tid, WorkerState &w,
                       const Envelope &envelope);
-    /** Stage a remote envelope in tid's combining buffer (same locking
-     *  contract as enqueueLocal); flushes eagerly past the threshold. */
-    void stageRemote(unsigned from, unsigned dest,
-                     const Envelope &envelope);
-    /** Ship one destination's staged envelopes via tryPushN; leftovers
-     *  that don't fit spill to the destination's overflow queue. */
-    void flushDest(unsigned from, unsigned dest);
-    /** Flush every dirty destination (end of pushBatch / idle pop). */
-    void flushSends(unsigned tid);
-    /** Overflow fallback for one envelope; counts against `from`, the
-     *  acting thread (see MetricsRegistry attribution contract). */
-    void spillToOverflow(unsigned from, unsigned dest,
-                         const Envelope &envelope);
+    /** Remote enqueue: one tryPush into dest's sRQ, or a spill to its
+     *  overflow queue when the ring is full. Counts against `from`,
+     *  the acting thread (see MetricsRegistry attribution contract). */
+    void sendRemote(unsigned from, unsigned dest,
+                    const Envelope &envelope);
     void drainIncoming(WorkerState &w);
     /** Per-pop sampling gate, inlined so the common (non-sampling) pop
      *  pays one increment and compare, not an out-of-line call. */
@@ -452,7 +419,8 @@ class BasicHdCpsScheduler : public Scheduler
         w.popsSinceSample = 0;
         sampleNow(tid, poppedPriority);
     }
-    /** Algorithm 3 report + drift round (sample boundary). */
+    /** Algorithm 3 report at tid's sample boundary; worker 0's also
+     *  closes a drift sample. */
     void sampleNow(unsigned tid, Priority poppedPriority);
     /** The original tryPop body: activeBag, drain, private PQ. Caller
      *  holds w.reclaimLock when reclamation is enabled. */
@@ -468,9 +436,7 @@ class BasicHdCpsScheduler : public Scheduler
     bool hierarchical_ = false;
     std::vector<std::unique_ptr<WorkerState>> workers_;
     DriftTracker drift_;
-    std::atomic<unsigned> publishRound_{0};
-    std::mutex updateMutex_;
-    DriftSeries driftSeries_; ///< guarded by updateMutex_
+    DriftSeries driftSeries_; ///< written by worker 0 only
     /** Number of currently quarantined workers: one relaxed load gates
      *  the chooseDest mask check, so the routing hot path is unchanged
      *  while supervision is idle (the overwhelmingly common case). */

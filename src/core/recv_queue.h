@@ -84,10 +84,11 @@ class ReceiveQueue
      * Deposit up to `count` values with a single write-pointer claim.
      * Returns how many were enqueued (0..count): one successful CAS
      * advances the write pointer by n and claims n contiguous slots,
-     * so a combining sender pays one coordination round-trip for the
-     * whole batch instead of one per task. When the ring lacks room
-     * for the full batch the largest claimable prefix is taken (the
-     * caller spills the rest to the overflow path).
+     * one coordination round-trip for the whole batch instead of one
+     * per task. When the ring lacks room for the full batch the
+     * largest claimable prefix is taken. HdCpsScheduler sends one
+     * envelope at a time (tryPush); bench/e2e's sRQ replay still
+     * prices the ring with batched claims.
      *
      * Correctness of the contiguous claim: the single consumer frees
      * slots in ticket order, so if the slot for ticket pos+n-1 is free

@@ -12,7 +12,7 @@ workerCounterName(WorkerCounter c)
         "tasks_processed", "empty_tasks",   "local_enqueues",
         "remote_enqueues", "overflow_pushes", "bags_created",
         "tasks_in_bags",   "reclaimed_tasks", "reclaim_races",
-        "srq_batch_flushes", "pool_recycled", "task_retries",
+        "pool_recycled",   "task_retries",
         "drained_tasks",   "worker_restarts", "health_transitions",
         "poisoned_tasks",  "cross_node_enqueues", "same_node_enqueues",
         "demoted_tasks",
@@ -46,7 +46,6 @@ globalSeriesName(GlobalSeries s)
     static const char *const names[unsigned(GlobalSeries::Count)] = {
         "drift",
         "tdf_drift",
-        "tdf",
         "rank_error",
         "job_latency_ms",
         "reclaim_latency_ms",

@@ -159,7 +159,6 @@ enum class WorkerCounter : unsigned {
     TasksInBags,        ///< tasks shipped inside bags
     ReclaimedTasks,     ///< tasks drained from a straggler's queues
     ReclaimRaces,       ///< reclamation lock attempts lost to a peer
-    SrqBatchFlushes,    ///< combining-buffer flushes into a remote sRQ
     PoolRecycled,       ///< bag envelopes served from the pool free list
     TaskRetries,        ///< service tasks re-pushed after a transient failure
     DrainedTasks,       ///< tasks discarded for a cancelled/failed/expired job
@@ -193,8 +192,7 @@ enum class WorkerSeries : unsigned {
 /** Global (master-written) time series. */
 enum class GlobalSeries : unsigned {
     Drift = 0, ///< executor's design-independent Eq. 1 samples
-    TdfDrift,  ///< drift samples the TDF controller actually consumed
-    Tdf,       ///< TDF percentage after each Algorithm 2 decision
+    TdfDrift,  ///< HD-CPS drift samples, closed by its worker 0
     RankError, ///< verifying wrapper's sampled priority-inversion gap
     JobLatencyMs, ///< service per-job submit-to-terminal latency
     ReclaimLatencyMs, ///< supervisor quarantine-to-reclaimed latency

@@ -75,8 +75,8 @@ class DAryHeap
      * Append a run of elements in one go. Large batches (at least half
      * the existing occupancy) rebuild the heap bottom-up with Floyd's
      * O(n) heapify instead of paying O(k log n) sift-ups — the case
-     * drainIncoming hits when a combining sender lands a full sRQ's
-     * worth of envelopes at once. Small batches sift up per element.
+     * drainIncoming hits when senders have filled an sRQ between two
+     * of its owner's pops. Small batches sift up per element.
      */
     template <typename InputIt>
     void

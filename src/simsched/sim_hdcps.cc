@@ -30,7 +30,7 @@ SimHdCps::SimHdCps(const SimHdCpsConfig &config, std::string name)
 {
     hdcps_check(config.sampleInterval >= 1,
                 "sample interval must be >= 1");
-    hdcps_check(config.fixedTdf <= 100, "fixedTdf is a percentage");
+    hdcps_check(config.tdfPct <= 100, "tdfPct is a percentage");
 }
 
 SimHdCpsConfig
@@ -97,9 +97,9 @@ SimHdCps::currentTdf() const
         return tdfController_.current();
       case SimHdCpsConfig::TdfMode::Fixed:
       case SimHdCpsConfig::TdfMode::Off:
-        return config_.fixedTdf;
+        return config_.tdfPct;
     }
-    return config_.fixedTdf;
+    return config_.tdfPct;
 }
 
 void

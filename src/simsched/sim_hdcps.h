@@ -48,7 +48,7 @@ struct SimHdCpsConfig
     // Task distribution factor.
     enum class TdfMode { Off, Adaptive, Fixed };
     TdfMode tdfMode = TdfMode::Adaptive;
-    unsigned fixedTdf = 98; ///< percent, for Off/Fixed modes
+    unsigned tdfPct = 98; ///< percent, for Off/Fixed modes
     TdfController::Config tdf{};
     /**
      * Tasks per drift sample (Algorithm 3). The paper uses 2000 on

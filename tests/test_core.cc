@@ -422,7 +422,7 @@ TEST(HdCpsScheduler, OverflowPathStillDelivers)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();
     config.rqCapacity = 2; // force overflow quickly
-    config.fixedTdf = 100; // all remote
+    config.tdf = 100; // all remote
     config.seed = 11;
     HdCpsScheduler sched(2, config);
     for (int i = 0; i < 100; ++i)
@@ -440,7 +440,7 @@ TEST(HdCpsScheduler, OverflowPathStillDelivers)
 TEST(HdCpsScheduler, FixedTdfControlsDistribution)
 {
     HdCpsConfig local = HdCpsScheduler::configSrq();
-    local.fixedTdf = 0; // keep everything local
+    local.tdf = 0; // keep everything local
     HdCpsScheduler sched(4, local);
     for (int i = 0; i < 50; ++i)
         sched.push(2, Task{uint64_t(i), 0, 0});
@@ -456,13 +456,47 @@ TEST(HdCpsScheduler, FixedTdfControlsDistribution)
 TEST(HdCpsScheduler, CurrentTdfIsTheFixedTdf)
 {
     // With TDF on the threaded design routes at kHdCpsTdf; with it off,
-    // at the configured fixedTdf.
+    // at the configured tdf.
     HdCpsScheduler sw(2, HdCpsScheduler::configSw());
     EXPECT_EQ(sw.currentTdf(), kHdCpsTdf);
     HdCpsConfig off = HdCpsScheduler::configSrq();
-    off.fixedTdf = 37;
+    off.tdf = 37;
     HdCpsScheduler srq(2, off);
     EXPECT_EQ(srq.currentTdf(), 37u);
+}
+
+TEST(HdCpsScheduler, WorkerZeroClosesDriftSamples)
+{
+    // Every worker reports its latest priority at its own sample
+    // boundary; only worker 0's boundary closes a drift sample, so the
+    // drift series has exactly one writer.
+    HdCpsConfig config = HdCpsScheduler::configSrq();
+    config.tdf = 0; // each worker pops what it pushed
+    config.sampleInterval = 1;
+    HdCpsScheduler sched(2, config);
+    MetricsRegistry metrics(2);
+    sched.attachMetrics(&metrics);
+    for (uint32_t i = 0; i < 5; ++i) {
+        sched.push(0, Task{i, i, 0});
+        sched.push(1, Task{100 + i, 100 + i, 0});
+    }
+    auto driftSamples = [&metrics] {
+        for (const auto &series : metrics.snapshot().series) {
+            if (series.name == "tdf_drift")
+                return series.totalRecorded;
+        }
+        return uint64_t(0);
+    };
+    Task t;
+    for (int i = 0; i < 5; ++i)
+        ASSERT_TRUE(sched.tryPop(1, t));
+    EXPECT_EQ(driftSamples(), 0u) << "worker 1 only reports";
+    EXPECT_EQ(sched.averageDrift(), 0.0);
+    for (int i = 0; i < 5; ++i)
+        ASSERT_TRUE(sched.tryPop(0, t));
+    EXPECT_EQ(driftSamples(), 5u);
+    // Worker 1's last report (104) sits far behind worker 0's.
+    EXPECT_GT(sched.averageDrift(), 0.0);
 }
 
 // ------------------------------------------------ design registry
@@ -681,7 +715,7 @@ TEST(FaultDrill, TeardownReleasesInFlightBagsDespitePopFaults)
     {
         HdCpsConfig config = HdCpsScheduler::configSrq();
         config.bags.mode = BagMode::Always;
-        config.fixedTdf = 100; // ship everything to worker 1's sRQ
+        config.tdf = 100; // ship everything to worker 1's sRQ
         config.seed = 13;
         HdCpsScheduler sched(2, config);
         std::vector<Task> children;
@@ -701,7 +735,7 @@ TEST(FaultDrill, HdCpsExactlyOnceWhenEveryRemotePushSpills)
     // and still every task arrives exactly once.
     HdCpsConfig config = HdCpsScheduler::configSrq();
     config.rqCapacity = 256; // plenty of room — the fault starves it
-    config.fixedTdf = 100;   // all pushes remote
+    config.tdf = 100;        // all pushes remote
     config.seed = 11;
     HdCpsScheduler sched(2, config);
     ScopedFaultInjection faults;
@@ -721,26 +755,39 @@ TEST(FaultDrill, HdCpsExactlyOnceWhenEveryRemotePushSpills)
 
 TEST(FaultDrill, HdCpsOverflowSiteForcesSpillPastTheSrq)
 {
-    HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100;
-    config.seed = 3;
-    HdCpsScheduler sched(2, config);
-    ScopedFaultInjection faults;
-    faults->arm(faultsite::HdcpsOverflowSpill, FaultMode::OneShot, 1);
-    sched.push(0, Task{1, 1, 0});
-    sched.push(0, Task{2, 2, 0});
-    EXPECT_EQ(sched.overflowPushes(), 1u); // only the one-shot spilled
-    int total = 0;
-    Task t;
-    while (sched.tryPop(1, t))
-        ++total;
-    EXPECT_EQ(total, 2);
+    // push() and pushBatch() send every remote child through the same
+    // one-slot sRQ claim, so the one-shot spill takes exactly one
+    // envelope on either path.
+    for (bool batched : {false, true}) {
+        SCOPED_TRACE(batched ? "pushBatch" : "push");
+        HdCpsConfig config = HdCpsScheduler::configSrq();
+        config.tdf = 100;
+        config.seed = 3;
+        HdCpsScheduler sched(2, config);
+        ScopedFaultInjection faults;
+        faults->arm(faultsite::HdcpsOverflowSpill, FaultMode::OneShot, 1);
+        std::vector<Task> tasks;
+        for (uint32_t i = 0; i < 8; ++i)
+            tasks.push_back(Task{i, i, 0});
+        if (batched) {
+            sched.pushBatch(0, tasks.data(), tasks.size());
+        } else {
+            for (const Task &task : tasks)
+                sched.push(0, task);
+        }
+        EXPECT_EQ(sched.overflowPushes(), 1u); // only the one-shot spilled
+        std::set<uint32_t> seen;
+        Task t;
+        while (sched.tryPop(1, t))
+            EXPECT_TRUE(seen.insert(t.node).second) << "duplicate task";
+        EXPECT_EQ(seen.size(), tasks.size());
+    }
 }
 
 TEST(HdCpsScheduler, SizeApproxCountsTransferBuffers)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100;
+    config.tdf = 100;
     config.seed = 7;
     HdCpsScheduler sched(2, config);
     EXPECT_EQ(sched.sizeApprox(), 0u);
@@ -762,7 +809,7 @@ TEST(Reclaim, OffByDefaultStrandsAStragglersTasks)
     // The control case: without the knob, tasks parked at a worker
     // that never pops are unreachable from its peers.
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100; // every push goes to the other worker
+    config.tdf = 100; // every push goes to the other worker
     HdCpsScheduler sched(2, config);
     for (uint32_t i = 0; i < 10; ++i)
         sched.push(0, Task{i, i, 0});
@@ -776,7 +823,7 @@ TEST(Reclaim, OffByDefaultStrandsAStragglersTasks)
 TEST(Reclaim, IdleWorkerDrainsAStaleStragglersSrq)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100;
+    config.tdf = 100;
     HdCpsScheduler sched(2, config);
     sched.setReclaimAfterMs(20);
     for (uint32_t i = 0; i < 10; ++i)
@@ -810,7 +857,7 @@ TEST(Reclaim, DrainsOverflowAndPrivatePqToo)
     // take all of them, or a paused worker's locally-buffered children
     // stay stranded.
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100;
+    config.tdf = 100;
     config.rqCapacity = 2; // force the overflow path
     HdCpsScheduler sched(2, config);
     sched.setReclaimAfterMs(20);
@@ -834,8 +881,7 @@ TEST(Reclaim, DrainsOverflowAndPrivatePqToo)
 TEST(Reclaim, DrainsAStragglersActiveBag)
 {
     HdCpsConfig config = HdCpsScheduler::configSrqTdfAc();
-    config.useTdf = false;
-    config.fixedTdf = 100;
+    config.tdf = 100;
     HdCpsScheduler sched(2, config);
     sched.setReclaimAfterMs(20);
     // Four equal-priority children form one bag shipped to worker 1.
@@ -867,8 +913,7 @@ TEST(Reclaim, PrefersSameNodeVictimsOnHierarchicalTopologies)
     // pulled node 1's stranded work across the socket while node 0's
     // sat one hop away.
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.useTdf = false;
-    config.fixedTdf = 100;   // every push leaves the pusher...
+    config.tdf = 100;        // every push leaves the pusher...
     config.crossNodePct = 0; // ...toward its only same-node peer
     config.topology = Topology::synthetic(2, 2);
     config.seed = 43;
@@ -895,14 +940,14 @@ TEST(Reclaim, PrefersSameNodeVictimsOnHierarchicalTopologies)
     EXPECT_EQ(sched.sizeApprox(), 5u); // node 1's work left in place
 }
 
-TEST(HdCpsScheduler, PushBatchLeavesNothingStaged)
+TEST(HdCpsScheduler, PushBatchTasksAreVisibleOnReturn)
 {
-    // Flush-at-batch-end contract: once pushBatch returns, no task may
-    // remain parked in a combining buffer — sizeApprox sees all of
-    // them and any worker can immediately pop the full batch (here via
-    // reclamation, since worker 0 owns all the transferred work).
+    // Scheduler contract: once pushBatch returns, every task sits in a
+    // queue that sizeApprox sees, and any worker can pop the full batch
+    // (here via reclamation, since worker 1 owns all the transferred
+    // work).
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100;
+    config.tdf = 100;
     config.seed = 21;
     HdCpsScheduler sched(2, config);
     sched.setReclaimAfterMs(20);
@@ -992,11 +1037,10 @@ TEST(BagPool, RecycleUnderContention)
     EXPECT_GE(pool.recycled(), uint64_t(kThreads) * (kIters - 1));
 }
 
-TEST(HdCpsScheduler, BatchedTransferFlushesAndConserves)
+TEST(HdCpsScheduler, BatchedTransferConserves)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.useTdf = false;
-    config.fixedTdf = 100; // every task crosses a combining buffer
+    config.tdf = 100; // every task crosses to a remote sRQ
     config.bags.mode = BagMode::Selective;
     config.seed = 13;
     HdCpsScheduler sched(4, config);
@@ -1004,9 +1048,7 @@ TEST(HdCpsScheduler, BatchedTransferFlushesAndConserves)
     for (uint32_t i = 0; i < 64; ++i)
         batch.push_back(Task{uint64_t(i % 5), i, 0});
     sched.pushBatch(0, batch.data(), batch.size());
-    EXPECT_GT(sched.srqBatchFlushes(), 0u);
-    // Flush-at-batch-end contract: nothing may stay staged once
-    // pushBatch returns — every task is immediately poppable.
+    // Every task is poppable once pushBatch returns, exactly once.
     std::set<uint32_t> seen;
     Task t;
     for (unsigned tid = 0; tid < 4; ++tid) {
@@ -1019,8 +1061,8 @@ TEST(HdCpsScheduler, BatchedTransferFlushesAndConserves)
 TEST(HdCpsScheduler, BatchedTransferSpillsWhenDestinationIsFull)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.rqCapacity = 8; // multi-slot claims go partial, then spill
-    config.fixedTdf = 100;
+    config.rqCapacity = 8; // the ring fills, then sends spill
+    config.tdf = 100;
     config.seed = 17;
     HdCpsScheduler sched(2, config);
     std::vector<Task> batch;
@@ -1040,7 +1082,7 @@ TEST(HdCpsScheduler, BatchedTransferSpillsWhenDestinationIsFull)
 TEST(HdCpsScheduler, BagPoolRecyclesEnvelopesAcrossRounds)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 0; // local: the same worker pushes and pops
+    config.tdf = 0; // local: the same worker pushes and pops
     config.bags.mode = BagMode::Selective;
     HdCpsScheduler sched(1, config);
     std::vector<Task> batch;
@@ -1077,8 +1119,7 @@ TEST(HierarchicalRouting, NodeAssignmentMatchesTopologyBlocks)
 TEST(HierarchicalRouting, FlatTopologyNeverCountsNodeTraffic)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.useTdf = false;
-    config.fixedTdf = 100; // every push is remote
+    config.tdf = 100; // every push is remote
     config.seed = 31;
     HdCpsScheduler sched(8, config); // default topology: flat
     for (uint32_t i = 0; i < 2000; ++i)
@@ -1091,7 +1132,7 @@ TEST(HierarchicalRouting, FlatTopologyNeverCountsNodeTraffic)
 
 TEST(HierarchicalRouting, ChooseDestLocalityTracksCrossNodePct)
 {
-    // With fixedTdf = 100 every push leaves the pusher, so the
+    // With tdf = 100 every push leaves the pusher, so the
     // same/cross-node counters record exactly one pick per push and
     // their split must track the configured crossNodePct: 0 and 100
     // are exact (the cross-node roll is a strict comparison), 25 is
@@ -1102,8 +1143,7 @@ TEST(HierarchicalRouting, ChooseDestLocalityTracksCrossNodePct)
     } kCases[] = {{0, 0.0, 0.0}, {25, 0.23, 0.27}, {100, 1.0, 1.0}};
     for (const auto &c : kCases) {
         HdCpsConfig config = HdCpsScheduler::configSrq();
-        config.useTdf = false;
-        config.fixedTdf = 100;
+        config.tdf = 100;
         config.topology = Topology::synthetic(2, 4);
         config.crossNodePct = c.crossPct;
         config.seed = 37;
@@ -1127,8 +1167,7 @@ TEST(HierarchicalRouting, FollowTdfSentinelTiesCrossTrafficToDrift)
     // as the cross-node percentage: at a pinned TDF of 60, 60% of the
     // 20000 pushes go remote and 60% of those cross nodes.
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.useTdf = false;
-    config.fixedTdf = 60;
+    config.tdf = 60;
     config.topology = Topology::synthetic(2, 4);
     config.seed = 41;
     ASSERT_EQ(config.crossNodePct, kCrossNodeFollowTdf);
@@ -1164,7 +1203,7 @@ TEST(MetricsAttribution, OverflowSpillCountsOnActingWorker)
     // acting thread).
     MetricsRegistry metrics(2);
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100;
+    config.tdf = 100;
     config.seed = 11;
     HdCpsScheduler sched(2, config);
     sched.attachMetrics(&metrics);
@@ -1197,7 +1236,7 @@ TEST(MetricsAttribution, CrossThreadTrafficKeepsRegistryRaceFree)
     mconfig.sampleInterval = 4;
     MetricsRegistry metrics(2, mconfig);
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100;
+    config.tdf = 100;
     config.rqCapacity = 16; // frequent spills under load
     config.sampleInterval = 8;
     config.seed = 19;

@@ -396,7 +396,7 @@ TEST(MetricsSnapshot, MergeAddsCountersAndAppendsSeries)
     a.add(0, WorkerCounter::TasksProcessed, 3);
     b.add(1, WorkerCounter::TasksProcessed, 4);
     a.recordGlobal(GlobalSeries::Drift, 1.0);
-    b.recordGlobal(GlobalSeries::Tdf, 50.0);
+    b.recordGlobal(GlobalSeries::RankError, 50.0);
     b.set(0, WorkerGauge::QueueDepth, 9.0);
 
     MetricsSnapshot merged = a.snapshot();
@@ -413,7 +413,7 @@ TEST(MetricsSnapshot, MergeAddsCountersAndAppendsSeries)
     for (const auto &s : merged.series)
         names.insert(s.name);
     EXPECT_TRUE(names.count("drift"));
-    EXPECT_TRUE(names.count("tdf"));
+    EXPECT_TRUE(names.count("rank_error"));
 }
 
 // ---------------------------------------------------------------------
@@ -584,7 +584,7 @@ TEST(MetricsExport, JsonIsWellFormedAndSelfDescribing)
     registry.set(1, WorkerGauge::QueueDepth, 7.0);
     registry.record(0, WorkerSeries::SrqOccupancy, 3.0);
     registry.recordGlobal(GlobalSeries::Drift, 12.5);
-    registry.recordGlobal(GlobalSeries::Tdf, 60.0);
+    registry.recordGlobal(GlobalSeries::RankError, 60.0);
 
     std::string json = metricsToJson(registry.snapshot());
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
@@ -593,7 +593,7 @@ TEST(MetricsExport, JsonIsWellFormedAndSelfDescribing)
     EXPECT_NE(json.find("\"queue_depth\""), std::string::npos);
     EXPECT_NE(json.find("\"srq_occupancy\""), std::string::npos);
     EXPECT_NE(json.find("\"drift\""), std::string::npos);
-    EXPECT_NE(json.find("\"tdf\""), std::string::npos);
+    EXPECT_NE(json.find("\"rank_error\""), std::string::npos);
 }
 
 TEST(MetricsExport, JsonHandlesNonFiniteValues)
@@ -670,7 +670,6 @@ TEST(MetricsEndToEnd, HdCpsRunProducesDriftTdfAndSrqSeries)
     }
     EXPECT_TRUE(names.count("drift"));
     EXPECT_TRUE(names.count("tdf_drift"));
-    EXPECT_TRUE(names.count("tdf"));
     EXPECT_TRUE(names.count("srq_occupancy"));
 
     // Counters: the executor reports totals at loop exit, and every

@@ -685,7 +685,7 @@ TEST(VerifyingWrapper, ForwardsReclaimKnobToInner)
     // would silently test the wrong configuration.
     constexpr unsigned threads = 2;
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100; // all pushes go remote
+    config.tdf = 100; // all pushes go remote
     HdCpsScheduler inner(threads, config);
     VerifyingScheduler sched(inner);
     sched.setReclaimAfterMs(25);

@@ -264,7 +264,7 @@ TEST(SimDesigns, FixedTdfSweepAllVerify)
     for (unsigned tdf : {10u, 50u, 100u}) {
         SimHdCpsConfig config = SimHdCps::configSw();
         config.tdfMode = SimHdCpsConfig::TdfMode::Fixed;
-        config.fixedTdf = tdf;
+        config.tdfPct = tdf;
         auto design = makeHdCpsDesign(config, "fixed-tdf");
         SimResult r = simulate(*design, *w, cores16(), 1);
         EXPECT_TRUE(r.verified) << "tdf " << tdf;

@@ -145,7 +145,7 @@ TEST(SimHdCpsUnit, FlowControlLimitsInFlightPerPair)
     SimHdCpsConfig config = SimHdCps::configHw();
     config.hrqEntries = 1;
     config.tdfMode = SimHdCpsConfig::TdfMode::Fixed;
-    config.fixedTdf = 100;
+    config.tdfPct = 100;
     SimHdCps design(config, "flow");
     SimResult r = simulate(design, *w, cores8(), 1);
     EXPECT_TRUE(r.verified);

@@ -343,7 +343,7 @@ TEST(FailureSemantics, SsspCorrectUnderForcedSrqFull)
     workload->reset();
     {
         HdCpsConfig config = HdCpsScheduler::configSrq();
-        config.fixedTdf = 100;
+        config.tdf = 100;
         HdCpsScheduler sched(threads, config);
         RunOptions options;
         options.numThreads = threads;
@@ -360,7 +360,7 @@ TEST(FailureSemantics, SsspCorrectUnderForcedSrqFull)
         ScopedFaultInjection faults;
         faults->arm(faultsite::SrqPushFull, FaultMode::EveryNth, 1);
         HdCpsConfig config = HdCpsScheduler::configSrq();
-        config.fixedTdf = 100;
+        config.tdf = 100;
         HdCpsScheduler sched(threads, config);
         RunOptions options;
         options.numThreads = threads;
@@ -464,7 +464,7 @@ TEST(StragglerResilience, PausedWorkerStallsRunWithoutReclamation)
     stragglers->add(StragglerInjector::PauseEvent{1, 30, 900});
 
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100; // every push crosses workers via the sRQs
+    config.tdf = 100; // every push crosses workers via the sRQs
     HdCpsScheduler sched(threads, config);
     RunOptions options;
     options.numThreads = threads;
@@ -488,7 +488,7 @@ TEST(StragglerResilience, ReclamationRidesOutThePausedWorker)
     stragglers->add(StragglerInjector::PauseEvent{1, 30, 900});
 
     HdCpsConfig config = HdCpsScheduler::configSrq();
-    config.fixedTdf = 100;
+    config.tdf = 100;
     HdCpsScheduler sched(threads, config);
     VerifyingScheduler verified(sched);
     RunOptions options;
@@ -529,7 +529,7 @@ TEST(DistributedTermination, ChaosSoakNeverHangsOrTerminatesEarly)
         stragglers->add(StragglerInjector::PauseEvent{2, 20, 120});
 
         HdCpsConfig config = HdCpsScheduler::configSrq();
-        config.fixedTdf = 100; // quiescence must see in-flight transfers
+        config.tdf = 100; // quiescence must see in-flight transfers
         config.seed = seed;
         HdCpsScheduler sched(threads, config);
         VerifyingScheduler verified(sched);
@@ -587,7 +587,7 @@ TEST(SimProperties, DrainAlwaysCompletes)
     config.hrqEntries = 1;
     config.hpqEntries = 1;
     config.tdfMode = SimHdCpsConfig::TdfMode::Fixed;
-    config.fixedTdf = 100;
+    config.tdfPct = 100;
     config.sampleInterval = 1;
     SimConfig machine;
     machine.numCores = 16;
