@@ -1,35 +1,25 @@
 #include "core/hdcps.h"
 
-#include <algorithm>
 #include <thread>
-
-#include "support/timer.h"
 
 namespace hdcps {
 
 namespace {
 
 /**
- * The per-worker reclamation lock: a tiny spinlock. Owners block-spin
- * (their critical sections only contend with a reclaimer mid-drain,
- * which is short and rare); reclaimers must use the try variant so the
- * only blocking acquire anyone performs is on their *own* lock —
- * cross-worker acquisition never waits, hence never deadlocks.
+ * The per-worker reclamation lock: a tiny spinlock. Its critical
+ * sections are an owner's local queue access or one reclaimWorker
+ * drain, both short, and no holder ever takes a second one.
  */
-inline bool
-tryLockReclaim(std::atomic<uint32_t> &lock)
-{
-    uint32_t expected = 0;
-    return lock.compare_exchange_strong(expected, 1,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed);
-}
-
 inline void
 lockReclaim(std::atomic<uint32_t> &lock)
 {
     unsigned spins = 0;
-    while (!tryLockReclaim(lock)) {
+    uint32_t expected = 0;
+    while (!lock.compare_exchange_weak(expected, 1,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+        expected = 0;
         if (++spins > 64) {
             std::this_thread::yield();
             spins = 0;
@@ -85,7 +75,6 @@ BasicHdCpsScheduler<LocalPqT>::BasicHdCpsScheduler(unsigned numWorkers,
         config_.topology.numNodes() >= 2 && numWorkers >= 2;
 
     workers_.reserve(numWorkers);
-    const uint64_t now = nowNs();
     for (unsigned i = 0; i < numWorkers; ++i) {
         auto w = std::make_unique<WorkerState>();
         // Worker index mixed *into* the seed word (not added to the
@@ -97,7 +86,6 @@ BasicHdCpsScheduler<LocalPqT>::BasicHdCpsScheduler(unsigned numWorkers,
             kLocalPqWays,
             mix64((config.seed + 0x5851f42d) ^
                   (uint64_t(i) * 0x9e3779b97f4a7c15ULL)));
-        w->heartbeatNs.store(now, std::memory_order_relaxed);
         w->node = hierarchical_
                       ? config_.topology.nodeOfWorker(i, numWorkers)
                       : 0;
@@ -264,8 +252,7 @@ BasicHdCpsScheduler<LocalPqT>::sizeApprox() const
     // Only race-free state is read: sRQ pointers are atomics, the
     // overflow queue locks, and the private PQ + active bag are covered
     // by the owner's self-published localBuffered estimate (which can
-    // lag by one operation). Good enough for the watchdog's stall dump
-    // and the reclaimers' is-anything-stranded pre-check.
+    // lag by one operation). Good enough for the watchdog's stall dump.
     size_t total = 0;
     for (const auto &w : workers_) {
         total += w->rq->sizeApprox() + w->overflow.size() +
@@ -278,22 +265,7 @@ template <template <typename, typename> class LocalPqT>
 void
 BasicHdCpsScheduler<LocalPqT>::setReclaimAfterMs(uint64_t ms)
 {
-    reclaimAfterNs_.store(ms * 1000000, std::memory_order_relaxed);
-    // Fresh heartbeats: the time a scheduler sat configured-but-idle
-    // before the run must not count toward anyone's staleness.
-    const uint64_t now = nowNs();
-    for (auto &w : workers_) {
-        w->heartbeatNs.store(now, std::memory_order_relaxed);
-        w->reclaimBackoffNs = 0;
-        w->reclaimBackoffUntilNs = 0;
-    }
-}
-
-template <template <typename, typename> class LocalPqT>
-uint64_t
-BasicHdCpsScheduler<LocalPqT>::heartbeatPops(unsigned tid) const
-{
-    return workers_[tid]->heartbeatPops.load(std::memory_order_relaxed);
+    guarded_.store(ms != 0, std::memory_order_relaxed);
 }
 
 template <template <typename, typename> class LocalPqT>
@@ -333,10 +305,11 @@ BasicHdCpsScheduler<LocalPqT>::reclaimWorker(unsigned reclaimer,
     if (n <= 1)
         return 0;
     WorkerState &v = *workers_[victim];
-    // Serialize against opportunistic peer reclaimers (who try-lock and
-    // give up) and against a concurrent supervisor call. The victim's
-    // own thread is out of push/tryPop by contract, so a blocking
-    // acquire here only ever waits for a short peer drain to finish.
+    // With the guard armed the victim's owner holds this lock across
+    // every access to its local queues and its bag-pool slot, so the
+    // drain below never overlaps the victim's own push or pop, wherever
+    // its thread is. It is held to the end: the fallbacks release bags
+    // into the victim's pool slot.
     lockReclaim(v.reclaimLock);
 
     // Everything the victim buffered, re-enveloped for redistribution.
@@ -355,7 +328,6 @@ BasicHdCpsScheduler<LocalPqT>::reclaimWorker(unsigned reclaimer,
         moved.push_back(Envelope{entry.task, entry.bag});
     }
     v.localBuffered.store(0, std::memory_order_relaxed);
-    unlockReclaim(v.reclaimLock);
 
     // Redistribute round-robin into the *other* live workers' sRQs —
     // multi-producer-safe from any thread — spilling to their locked
@@ -423,6 +395,7 @@ BasicHdCpsScheduler<LocalPqT>::reclaimWorker(unsigned reclaimer,
             }
         }
     }
+    unlockReclaim(v.reclaimLock);
     reclaimedTasks_.fetch_add(tasksMoved, std::memory_order_relaxed);
     return tasksMoved;
 }
@@ -518,7 +491,7 @@ BasicHdCpsScheduler<LocalPqT>::enqueueLocal(unsigned tid, WorkerState &w,
     // queue hop needed (Figure 2, path 1a). Incoming remote work is
     // NOT drained here: popLocal integrates it before every dequeue
     // decision, which is the only place ordering depends on it.
-    // Caller holds the owner's reclaimLock when reclamation is armed.
+    // Caller holds the owner's reclaimLock when the guard is armed.
     w.pq.push(makeEntry(envelope.task, envelope.bag));
     w.localBuffered.store(w.pq.size() + w.activeBag.size(),
                           std::memory_order_relaxed);
@@ -570,11 +543,10 @@ BasicHdCpsScheduler<LocalPqT>::push(unsigned tid, const Task &task)
         sendRemote(tid, dest, envelope);
         return;
     }
-    // With reclamation on, the PQ is no longer owner-exclusive, so take
-    // our own lock.
+    // With the guard armed, the PQ is no longer owner-exclusive, so
+    // take our own lock.
     WorkerState &w = *workers_[tid];
-    const bool guarded =
-        reclaimAfterNs_.load(std::memory_order_relaxed) != 0;
+    const bool guarded = guarded_.load(std::memory_order_relaxed);
     if (guarded)
         lockReclaim(w.reclaimLock);
     enqueueLocal(tid, w, envelope);
@@ -591,11 +563,10 @@ BasicHdCpsScheduler<LocalPqT>::pushBatch(unsigned tid, const Task *tasks, size_t
     WorkerState &w = *workers_[tid];
     // One TDF read per batch: it is fixed for the scheduler's lifetime.
     const unsigned tdf = currentTdf();
-    const bool guarded =
-        reclaimAfterNs_.load(std::memory_order_relaxed) != 0;
-    // The owner's lock is held across the whole batch when reclamation
-    // is armed: the local PQ inserts need it, and one acquire per batch
-    // is cheaper than one per local child.
+    const bool guarded = guarded_.load(std::memory_order_relaxed);
+    // The owner's lock is held across the whole batch when the guard is
+    // armed: the local PQ inserts need it, and one acquire per batch is
+    // cheaper than one per local child.
     if (guarded)
         lockReclaim(w.reclaimLock);
 
@@ -679,21 +650,11 @@ bool
 BasicHdCpsScheduler<LocalPqT>::tryPop(unsigned tid, Task &out)
 {
     WorkerState &w = *workers_[tid];
-    const uint64_t staleNs = reclaimAfterNs_.load(std::memory_order_relaxed);
-    if (staleNs == 0)
+    if (!guarded_.load(std::memory_order_relaxed))
         return popLocal(tid, w, out); // original lock-free fast path
-
-    // Heartbeat first: a worker that reaches here is alive even if it
-    // finds nothing, and publishing before the lock keeps a long drain
-    // from making *us* look stale to everyone else.
-    w.heartbeatNs.store(nowNs(), std::memory_order_relaxed);
     lockReclaim(w.reclaimLock);
-    bool got = popLocal(tid, w, out);
-    if (!got)
-        got = reclaimFromStraggler(tid, staleNs, out);
+    const bool got = popLocal(tid, w, out);
     unlockReclaim(w.reclaimLock);
-    if (got)
-        w.heartbeatPops.fetch_add(1, std::memory_order_relaxed);
     return got;
 }
 
@@ -742,109 +703,6 @@ BasicHdCpsScheduler<LocalPqT>::popLocal(unsigned tid, WorkerState &w, Task &out)
                           std::memory_order_relaxed);
     maybeSample(tid, w, out.priority);
     return true;
-}
-
-template <template <typename, typename> class LocalPqT>
-bool
-BasicHdCpsScheduler<LocalPqT>::reclaimFromStraggler(unsigned tid, uint64_t staleNs,
-                                     Task &out)
-{
-    WorkerState &me = *workers_[tid];
-    const uint64_t now = nowNs();
-    if (now < me.reclaimBackoffUntilNs)
-        return false;
-
-    bool sawStale = false;
-    size_t moved = 0;
-    const unsigned n = numWorkers();
-    auto tryVictim = [&](unsigned vid) {
-        WorkerState &victim = *workers_[vid];
-        uint64_t hb = victim.heartbeatNs.load(std::memory_order_relaxed);
-        if (hb <= now && now - hb < staleNs)
-            return; // fresh heartbeat: not a straggler
-        // Lock-free pre-check: a stale-but-empty peer strands nothing.
-        if (victim.rq->sizeApprox() == 0 && victim.overflow.size() == 0 &&
-            victim.localBuffered.load(std::memory_order_relaxed) == 0) {
-            return;
-        }
-        sawStale = true;
-        if (!tryLockReclaim(victim.reclaimLock)) {
-            // Either the owner woke up or another reclaimer beat us —
-            // both resolve the stall, so just record the race and move
-            // on. Never block here (deadlock-freedom, see header).
-            reclaimRaces_.fetch_add(1, std::memory_order_relaxed);
-            if (metrics_)
-                metrics_->add(tid, WorkerCounter::ReclaimRaces);
-            return;
-        }
-        // Drain *everything* the victim buffered — sRQ, overflow spill,
-        // active bag and its private PQ.
-        Envelope envelope;
-        while (victim.rq->tryPop(envelope)) {
-            moved += envelope.bag ? envelope.bag->tasks.size() : 1;
-            me.pq.push(makeEntry(envelope.task, envelope.bag));
-        }
-        Task task;
-        while (victim.overflow.tryPop(task)) {
-            ++moved;
-            me.pq.push(makeEntry(task, nullptr));
-        }
-        for (const Task &t : victim.activeBag) {
-            ++moved;
-            me.pq.push(makeEntry(t, nullptr));
-        }
-        victim.activeBag.clear();
-        while (!victim.pq.empty()) {
-            PqEntry entry = victim.pq.pop();
-            moved += entry.bag ? entry.bag->tasks.size() : 1;
-            me.pq.push(entry);
-        }
-        victim.localBuffered.store(0, std::memory_order_relaxed);
-        unlockReclaim(victim.reclaimLock);
-    };
-    // Victim scan order: same-node stragglers before cross-node ones.
-    // Reclaimed tasks land in the reclaimer's private PQ, so draining a
-    // same-node victim keeps the stranded work (and its first-touch
-    // pages) on the node that owns it; cross-node peers stay reachable
-    // as the fallback so no straggler is ever stranded. A flat (or
-    // single-node) topology keeps the original modular scan.
-    if (hierarchical_) {
-        for (unsigned vid : me.sameNodePeers) {
-            if (moved != 0)
-                break;
-            tryVictim(vid);
-        }
-        for (unsigned vid : me.crossNodePeers) {
-            if (moved != 0)
-                break;
-            tryVictim(vid);
-        }
-    } else {
-        for (unsigned k = 1; k < n && moved == 0; ++k)
-            tryVictim((tid + k) % n);
-    }
-
-    if (moved == 0) {
-        if (sawStale) {
-            // Contended or raced-away straggler: back off exponentially
-            // so a pack of idle workers doesn't spin on one victim.
-            const uint64_t base =
-                std::max<uint64_t>(staleNs / 16, 50 * 1000);
-            me.reclaimBackoffNs =
-                me.reclaimBackoffNs == 0
-                    ? base
-                    : std::min(me.reclaimBackoffNs * 2, staleNs);
-            me.reclaimBackoffUntilNs = now + me.reclaimBackoffNs;
-        }
-        return false;
-    }
-
-    me.reclaimBackoffNs = 0;
-    me.reclaimBackoffUntilNs = 0;
-    reclaimedTasks_.fetch_add(moved, std::memory_order_relaxed);
-    if (metrics_)
-        metrics_->add(tid, WorkerCounter::ReclaimedTasks, moved);
-    return popLocal(tid, me, out);
 }
 
 template <template <typename, typename> class LocalPqT>

@@ -23,16 +23,15 @@
  *
  * **Straggler resilience (sRQ reclamation).** The sRQ design's weak
  * spot is a stalled owner: remote enqueues keep landing in its receive
- * queue, and every task parked there is stranded until the owner runs
- * again. With reclamation enabled (setReclaimAfterMs), each worker
- * publishes a relaxed heartbeat (pop counter + monotonic epoch) on
- * every tryPop; when a peer's heartbeat is stale past the window, an
- * idle worker acquires the victim's per-worker reclamation lock
- * (try-lock with exponential backoff on contention) and drains the
- * victim's sRQ, overflow spill, active bag, and private PQ into its
- * own private PQ. Owners guard their single-consumer structures with
- * their own lock whenever reclamation is enabled, so the handoff is
- * race-free; with reclamation off (the default) the original
+ * queue, and every task parked there (and in its private PQ) is
+ * stranded until the owner runs again. The scheduler itself never
+ * looks for stalls: a runtime monitor (the WorkerSupervisor behind
+ * run() and the ExecutorService) detects one and calls quarantine()
+ * and reclaimWorker(), which drain the stalled worker's sRQ, overflow
+ * spill, active bag and private PQ into its live peers. While a
+ * monitor may reclaim (setReclaimAfterMs > 0), every owner holds its
+ * own reclaimLock around each access to its local queues, so the
+ * drain is race-free; with it off (the default) the original
  * lock-free paths run unchanged. See DESIGN.md §10.
  */
 
@@ -128,10 +127,9 @@ class BasicHdCpsScheduler : public Scheduler
      *  (may lag by one operation). See Scheduler. */
     size_t sizeApprox() const override;
 
-    /** Enable sRQ reclamation from stragglers whose heartbeat is older
-     *  than `ms` milliseconds (0 disables, the default). Refreshes all
-     *  heartbeats so pre-run idleness is not mistaken for a stall.
-     *  Must not race with push/tryPop. */
+    /** Arm the owner-side guard (`ms` > 0: a monitor may call
+     *  reclaimWorker) or disarm it (0, the default). Must not race
+     *  with push/tryPop. */
     void setReclaimAfterMs(uint64_t ms) override;
 
     /** Pin the calling worker thread to its slot's NUMA node (no-op on
@@ -148,19 +146,26 @@ class BasicHdCpsScheduler : public Scheduler
     void reinstate(unsigned tid) override;
 
     /**
-     * Supervisor-initiated drain of worker `victim`'s buffered tasks —
-     * sRQ, overflow, active bag, private PQ — redistributed
-     * into the *other* workers' sRQs (overflow on full), starting the
-     * round-robin at `reclaimer`. Unlike the peer path this bypasses
-     * heartbeat staleness and never touches any owner-private state of
-     * a live worker, so it is safe from a non-worker thread; the caller
-     * must guarantee the victim's own thread is out of push/tryPop
-     * (wedged past its pause point, or exited). Returns tasks moved.
+     * Monitor-initiated drain of worker `victim`'s buffered tasks —
+     * sRQ, overflow, active bag, private PQ — redistributed into the
+     * *other* workers' sRQs (overflow on full), starting the
+     * round-robin at `reclaimer` (same-node peers first on a
+     * multi-node topology). It pops the victim's owner-private pq and
+     * activeBag under the victim's reclaimLock, so it is safe from any
+     * thread while the victim runs only if the guard is armed
+     * (setReclaimAfterMs > 0); disarmed, the victim's thread must be
+     * out of push/tryPop. Returns tasks moved.
      */
     size_t reclaimWorker(unsigned reclaimer, unsigned victim) override;
 
     /** True while `tid` is masked out of chooseDest (tests). */
     bool isQuarantined(unsigned tid) const;
+
+    /** True while the owner-side guard is armed (tests). */
+    bool reclaimGuarded() const
+    {
+        return guarded_.load(std::memory_order_relaxed);
+    }
 
     /** Paper configuration factories. */
     static HdCpsConfig configSrq();
@@ -203,20 +208,11 @@ class BasicHdCpsScheduler : public Scheduler
         return sumStat(&WorkerState::Stats::overflowPushes);
     }
 
-    /** Tasks drained from stragglers' queues by peers (reclamation). */
+    /** Tasks reclaimWorker moved out of stalled workers' queues. */
     uint64_t reclaimedTasks() const
     {
         return reclaimedTasks_.load(std::memory_order_relaxed);
     }
-
-    /** Reclamation lock attempts lost to a racing peer. */
-    uint64_t reclaimRaces() const
-    {
-        return reclaimRaces_.load(std::memory_order_relaxed);
-    }
-
-    /** Worker `tid`'s heartbeat pop counter (tests, diagnostics). */
-    uint64_t heartbeatPops(unsigned tid) const;
 
     /** The NUMA node worker `tid`'s buffers live on (0 when flat). */
     unsigned nodeOfWorker(unsigned tid) const;
@@ -328,26 +324,19 @@ class BasicHdCpsScheduler : public Scheduler
 
         /**
          * Reclamation lock guarding pq/activeBag and the consume side
-         * of rq/overflow. With reclamation off nobody touches it; with
+         * of rq/overflow. With the guard off nobody touches it; with
          * it on, the owner holds it across every local queue access and
-         * reclaimers take it via try-lock only (so lock order is always
-         * own-then-victim with no blocking second acquire → no
-         * deadlock).
+         * reclaimWorker holds it while it drains this worker. Nobody
+         * holding it takes another reclaimLock, so it cannot deadlock.
          */
         std::atomic<uint32_t> reclaimLock{0};
-        /** Heartbeat: monotonic ns of the last tryPop attempt, and the
-         *  count of successful pops. Relaxed — freshness only. */
-        std::atomic<uint64_t> heartbeatNs{0};
-        std::atomic<uint64_t> heartbeatPops{0};
-        /** Owner-published |pq| + |activeBag| estimate: lets peers (and
-         *  sizeApprox) see private buffered work without racing it. */
+        /** Owner-published |pq| + |activeBag| estimate: lets other
+         *  threads (sizeApprox) see private buffered work without
+         *  racing it. */
         std::atomic<size_t> localBuffered{0};
         /** Supervision flag: nonzero while chooseDest must avoid this
          *  worker (wedged/dead, backlog being reclaimed). */
         std::atomic<uint32_t> quarantined{0};
-        /** Reclaimer-local backoff state (owner-only fields). */
-        uint64_t reclaimBackoffNs = 0;
-        uint64_t reclaimBackoffUntilNs = 0;
 
         /** Reused pushBatch buffer for planRanges (no per-batch copy). */
         std::vector<Task> planScratch;
@@ -400,7 +389,7 @@ class BasicHdCpsScheduler : public Scheduler
     void placeWorkerBuffers(unsigned tid);
     unsigned chooseDest(unsigned tid, unsigned tdf);
     /** Local enqueue straight into the private PQ (caller holds the
-     *  owner's reclaimLock when reclamation is armed). */
+     *  owner's reclaimLock when the guard is armed). */
     void enqueueLocal(unsigned tid, WorkerState &w,
                       const Envelope &envelope);
     /** Remote enqueue: one tryPush into dest's sRQ, or a spill to its
@@ -423,11 +412,8 @@ class BasicHdCpsScheduler : public Scheduler
      *  closes a drift sample. */
     void sampleNow(unsigned tid, Priority poppedPriority);
     /** The original tryPop body: activeBag, drain, private PQ. Caller
-     *  holds w.reclaimLock when reclamation is enabled. */
+     *  holds w.reclaimLock when the guard is armed. */
     bool popLocal(unsigned tid, WorkerState &w, Task &out);
-    /** Scan peers for a stale heartbeat and drain one straggler's
-     *  queues into tid's PQ. Caller holds tid's own reclaimLock. */
-    bool reclaimFromStraggler(unsigned tid, uint64_t staleNs, Task &out);
 
     HdCpsConfig config_;
     std::string name_;
@@ -441,11 +427,11 @@ class BasicHdCpsScheduler : public Scheduler
      *  the chooseDest mask check, so the routing hot path is unchanged
      *  while supervision is idle (the overwhelmingly common case). */
     std::atomic<unsigned> quarantineCount_{0};
-    /** Straggler-reclamation knob and counters (0 window = off; these
-     *  stay shared atomics — they only move on the rare reclaim path). */
-    std::atomic<uint64_t> reclaimAfterNs_{0};
+    /** The owner-side guard (setReclaimAfterMs): true while a monitor
+     *  may call reclaimWorker. */
+    std::atomic<bool> guarded_{false};
+    /** Shared atomic: it only moves on the rare reclaim path. */
     std::atomic<uint64_t> reclaimedTasks_{0};
-    std::atomic<uint64_t> reclaimRaces_{0};
     BagPool pool_;
 };
 

@@ -79,13 +79,15 @@ class Scheduler
     unsigned numWorkers() const { return numWorkers_; }
 
     /**
-     * Straggler-resilience knob: when a worker's heartbeat is stale by
-     * more than `ms` milliseconds, idle peers may reclaim its buffered
-     * tasks (0 disables). The threaded runtime forwards
-     * RunOptions::reclaimAfterMs here before the workers start, so the
-     * RunOptions value is authoritative for executor-driven runs.
-     * Designs without per-worker buffers ignore it (the default).
-     * Must be called while no worker is inside push/tryPop.
+     * Owner-side guard knob: `ms` > 0 means a monitor may call
+     * reclaimWorker while workers run (its stall window, in
+     * milliseconds), 0 means none will. Designs with owner-private
+     * buffers guard every owner access to them while it is set. run()
+     * forwards RunOptions::reclaimAfterMs here before the workers
+     * start, and the ExecutorService its supervisor's wedged threshold
+     * (0 without a supervisor). Designs without per-worker buffers
+     * ignore it (the default). Must be called while no worker is
+     * inside push/tryPop.
      */
     virtual void setReclaimAfterMs(uint64_t ms) { (void)ms; }
 
@@ -121,12 +123,12 @@ class Scheduler
 
     /**
      * Supervision hook: forcibly drain worker `victim`'s buffered
-     * tasks (sRQ, overflow, bags, private PQ) into worker
-     * `reclaimer`'s queues, regardless of heartbeat staleness —
-     * supervisor-initiated, unlike the opportunistic peer reclamation
-     * behind setReclaimAfterMs. Returns the number of tasks moved.
-     * The caller must guarantee the victim's thread is not inside
-     * push/tryPop (it is wedged past its pause point, or exited).
+     * tasks (sRQ, overflow, bags, private PQ) into its live peers,
+     * starting at worker `reclaimer`. Returns the number of tasks
+     * moved. It pops the victim's owner-private queues, so it may run
+     * while the victim's thread is inside push/tryPop only if
+     * setReclaimAfterMs armed the owner-side guard; otherwise the
+     * caller must guarantee the victim's thread is out of them.
      * Designs without per-worker buffers return 0 (the default).
      */
     virtual size_t

@@ -11,8 +11,7 @@ workerCounterName(WorkerCounter c)
     static const char *const names[unsigned(WorkerCounter::Count)] = {
         "tasks_processed", "empty_tasks",   "local_enqueues",
         "remote_enqueues", "overflow_pushes", "bags_created",
-        "tasks_in_bags",   "reclaimed_tasks", "reclaim_races",
-        "pool_recycled",   "task_retries",
+        "tasks_in_bags",   "pool_recycled",   "task_retries",
         "drained_tasks",   "worker_restarts", "health_transitions",
         "poisoned_tasks",  "cross_node_enqueues", "same_node_enqueues",
         "demoted_tasks",
@@ -49,6 +48,7 @@ globalSeriesName(GlobalSeries s)
         "rank_error",
         "job_latency_ms",
         "reclaim_latency_ms",
+        "reclaimed_tasks",
         "cross_node_pct",
     };
     return names[unsigned(s)];

@@ -157,8 +157,6 @@ enum class WorkerCounter : unsigned {
     OverflowPushes,     ///< sRQ-full fallbacks to the spill path
     BagsCreated,        ///< Algorithm 1 bags created
     TasksInBags,        ///< tasks shipped inside bags
-    ReclaimedTasks,     ///< tasks drained from a straggler's queues
-    ReclaimRaces,       ///< reclamation lock attempts lost to a peer
     PoolRecycled,       ///< bag envelopes served from the pool free list
     TaskRetries,        ///< service tasks re-pushed after a transient failure
     DrainedTasks,       ///< tasks discarded for a cancelled/failed/expired job
@@ -196,6 +194,7 @@ enum class GlobalSeries : unsigned {
     RankError, ///< verifying wrapper's sampled priority-inversion gap
     JobLatencyMs, ///< service per-job submit-to-terminal latency
     ReclaimLatencyMs, ///< supervisor quarantine-to-reclaimed latency
+    ReclaimedTasks, ///< tasks one supervisor reclaim moved
     CrossNodePct, ///< % of remote sends that crossed node boundaries
     Count
 };

@@ -1,9 +1,12 @@
 #include "runtime/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -14,6 +17,7 @@
 #include <sched.h>
 #endif
 
+#include "runtime/supervisor.h"
 #include "runtime/worker_common.h"
 #include "support/compiler.h"
 #include "support/fault.h"
@@ -41,6 +45,9 @@ struct RunState
     /** Failure latch: stop tells workers to drain out; the first
      *  error wins (see FailureLatch). */
     FailureLatch latch;
+    /** The health FSM over this run's workers, when reclamation is
+     *  armed (RunOptions::reclaimAfterMs); null otherwise. */
+    std::unique_ptr<WorkerSupervisor> supervisor;
 
     /** Per-worker pop counters for the watchdog's progress check —
      *  single-writer and padded, so the unconditional increment is a
@@ -116,24 +123,61 @@ stallDiagnostic(const RunState &state)
 }
 
 /**
- * Monitor loop for the opt-in progress watchdog. Sleeps on `cv` in
- * window-sized slices; a window with pending work but an unchanged
- * global pop count is a stall, which fails the run. The cv (rather
- * than a plain sleep) lets run() retire the watchdog immediately once
- * the workers are done.
+ * Act on the health FSM's decisions for every worker. A wedged worker
+ * is quarantined and its queues reclaimed into its peers. Once it has
+ * latched its exit at a loop top (awaitRearm), it is reclaimed again,
+ * its slot re-armed and its quarantine lifted, and the same thread
+ * carries on. Escalate cannot come: run()'s budget is unbounded.
  */
 void
-watchdogLoop(RunState &state, std::mutex &mutex,
-             std::condition_variable &cv, const bool &done)
+superviseWorkers(RunState &state)
 {
-    const auto window = std::chrono::milliseconds(state.options.watchdogMs);
+    WorkerSupervisor &supervisor = *state.supervisor;
+    for (unsigned tid = 0; tid < state.options.numThreads; ++tid) {
+        switch (supervisor.poll(tid, nowNs())) {
+          case WorkerSupervisor::Decision::Quarantine:
+            quarantineAndReclaim(*state.sched, tid, state.options.metrics);
+            break;
+          case WorkerSupervisor::Decision::Restart:
+            quarantineAndReclaim(*state.sched, tid, state.options.metrics);
+            supervisor.noteRestarted(tid, nowNs());
+            state.sched->reinstate(tid);
+            break;
+          default:
+            break;
+        }
+    }
+}
+
+/**
+ * The run's one monitor thread, started when the watchdog or
+ * reclamation is armed. It sleeps on `cv` for one probe interval (the
+ * supervisor's, or the watchdog window when only the watchdog is
+ * armed), drives the health FSM, and once per watchdog window checks
+ * global progress: pending work with an unchanged global pop count
+ * fails the run. The cv (rather than a plain sleep) lets run() retire
+ * the monitor immediately once the workers are done.
+ */
+void
+monitorLoop(RunState &state, std::mutex &mutex,
+            std::condition_variable &cv, const bool &done)
+{
+    const uint64_t windowNs = state.options.watchdogMs * 1000000;
+    const auto tick = std::chrono::milliseconds(
+        state.supervisor ? state.supervisor->policy().probeIntervalMs
+                         : state.options.watchdogMs);
     uint64_t lastPops = totalPops(state);
+    uint64_t windowStartNs = nowNs();
     std::unique_lock<std::mutex> lock(mutex);
     while (!done) {
-        if (cv.wait_for(lock, window, [&done] { return done; }))
+        if (cv.wait_for(lock, tick, [&done] { return done; }))
             return;
         if (state.latch.stopRequested())
             return;
+        if (state.supervisor)
+            superviseWorkers(state);
+        if (windowNs == 0 || nowNs() - windowStartNs < windowNs)
+            continue;
         uint64_t pops = totalPops(state);
         bool stalled = pops == lastPops && state.term.pendingApprox() > 0;
         if (stalled) {
@@ -141,7 +185,30 @@ watchdogLoop(RunState &state, std::mutex &mutex,
             return;
         }
         lastPops = pops;
+        windowStartNs = nowNs();
     }
+}
+
+/**
+ * A superseded run() worker stays in the run: run() has no thread to
+ * respawn, and designs like RELD keep per-worker queues that no
+ * reclaimWorker drains. So the worker latches its exit, holding no
+ * task, and waits until the monitor has reclaimed its queues again and
+ * re-armed the slot; then it carries on as the slot's next
+ * incarnation. Returns false when the run stopped first.
+ */
+bool
+awaitRearm(RunState &state, unsigned tid, uint64_t &epoch)
+{
+    WorkerSupervisor &supervisor = *state.supervisor;
+    const uint64_t superseding = supervisor.epochOf(tid);
+    supervisor.noteExit(tid, false);
+    while ((epoch = supervisor.epochOf(tid)) == superseding) {
+        if (state.latch.stopRequested())
+            return false;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return true;
 }
 
 void
@@ -155,6 +222,8 @@ workerLoop(RunState &state, unsigned tid, Breakdown &breakdown)
     children.reserve(64);
     IdleBackoff backoff;
     uint64_t popsSinceSample = 0;
+    WorkerSupervisor *supervisor = state.supervisor.get();
+    uint64_t epoch = supervisor ? supervisor->epochOf(tid) : 0;
 
     while (true) {
         // Drain out as soon as any worker (or the watchdog) failed the
@@ -163,6 +232,15 @@ workerLoop(RunState &state, unsigned tid, Breakdown &breakdown)
         // pending==0 view changes.
         if (state.latch.stopRequested())
             break;
+
+        // Loop top, holding no task: publish liveness, and sit out a
+        // supersession until the monitor re-arms this slot.
+        if (supervisor) {
+            supervisor->beat(tid, nowNs());
+            if (supervisor->superseded(tid, epoch) &&
+                !awaitRearm(state, tid, epoch))
+                break;
+        }
 
         // Straggler drill: with an injector installed, this worker may
         // cooperatively sleep here — the only blocking point in the
@@ -457,7 +535,7 @@ run(Scheduler &sched, const std::vector<Task> &initial,
         sched.attachMetrics(options.metrics);
     }
     // Unconditional: RunOptions is authoritative, so a scheduler reused
-    // across runs cannot carry a stale window into a run that wants the
+    // across runs cannot carry an armed guard into a run that wants the
     // default (off).
     sched.setReclaimAfterMs(options.reclaimAfterMs);
 
@@ -471,6 +549,25 @@ run(Scheduler &sched, const std::vector<Task> &initial,
     state.startNs = nowNs();
     for (auto &slot : state.lastPopNs)
         slot.value.store(state.startNs, std::memory_order_relaxed);
+    if (options.reclaimAfterMs > 0) {
+        // Wedged after R ms without a loop-top beat. The restart budget
+        // is unbounded: a run() heal respawns no thread, and no budget
+        // may fail a run that would complete.
+        const uint64_t r = options.reclaimAfterMs;
+        SupervisorPolicy policy;
+        policy.enabled = true;
+        policy.probeIntervalMs = std::max<uint64_t>(r / 4, 1);
+        policy.suspectAfterMs = r / 2;
+        policy.wedgedAfterMs = r;
+        policy.maxRestarts = std::numeric_limits<unsigned>::max();
+        policy.restartWindowMs = r;
+        state.supervisor =
+            std::make_unique<WorkerSupervisor>(options.numThreads, policy);
+        // Every heartbeat starts fresh, so a slow helper start-up
+        // cannot read as a wedge.
+        for (unsigned tid = 0; tid < options.numThreads; ++tid)
+            state.supervisor->beat(tid, state.startNs);
+    }
 
     // Seed tasks in 16-task chunks interleaved across workers before
     // any worker starts (single-threaded phase, so per-worker push is
@@ -487,15 +584,15 @@ run(Scheduler &sched, const std::vector<Task> &initial,
     result.perWorker.assign(options.numThreads, Breakdown{});
     state.perWorker = result.perWorker.data();
 
-    // The watchdog rides alongside the workers; `done` + cv retire it
+    // The monitor rides alongside the workers; `done` + cv retire it
     // the moment they all exit, failed run or not.
-    std::mutex watchdogMutex;
-    std::condition_variable watchdogCv;
-    bool watchdogDone = false;
-    std::thread watchdog;
-    if (options.watchdogMs > 0) {
-        watchdog = std::thread([&] {
-            watchdogLoop(state, watchdogMutex, watchdogCv, watchdogDone);
+    std::mutex monitorMutex;
+    std::condition_variable monitorCv;
+    bool monitorDone = false;
+    std::thread monitor;
+    if (options.watchdogMs > 0 || state.supervisor) {
+        monitor = std::thread([&] {
+            monitorLoop(state, monitorMutex, monitorCv, monitorDone);
         });
     }
 
@@ -512,13 +609,19 @@ run(Scheduler &sched, const std::vector<Task> &initial,
         backoff.idle();
     result.wallNs = nowNs() - startNs;
 
-    if (watchdog.joinable()) {
+    if (monitor.joinable()) {
         {
-            std::lock_guard<std::mutex> lock(watchdogMutex);
-            watchdogDone = true;
+            std::lock_guard<std::mutex> lock(monitorMutex);
+            monitorDone = true;
         }
-        watchdogCv.notify_all();
-        watchdog.join();
+        monitorCv.notify_all();
+        monitor.join();
+    }
+    // A failed run can end with a worker still quarantined; a reused
+    // scheduler must not carry that into its next run.
+    if (state.supervisor) {
+        for (unsigned tid = 0; tid < options.numThreads; ++tid)
+            sched.reinstate(tid);
     }
 
     result.failed = state.latch.failed();

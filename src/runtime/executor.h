@@ -25,14 +25,20 @@
  *    terminating the process — the first error is latched into the
  *    RunResult, every worker drains out via a stop flag, and every
  *    worker body returns before run() does;
- *  - an opt-in progress watchdog (RunOptions::watchdogMs) that fails a
- *    run stuck with in-flight tasks but no pops, attaching a
+ *  - one opt-in monitor thread, started only when the watchdog or
+ *    stall supervision is armed. The watchdog (RunOptions::watchdogMs)
+ *    fails a run stuck with in-flight tasks but no pops, attaching a
  *    diagnostic dump (per-worker pop counts *and* last-pop ages)
- *    instead of hanging forever;
+ *    instead of hanging forever. Stall supervision
+ *    (RunOptions::reclaimAfterMs) runs the WorkerSupervisor health FSM
+ *    over loop-top heartbeats: a worker stale past the window is
+ *    quarantined and its queues reclaimed into its peers
+ *    (quarantineAndReclaim, the function the ExecutorService's
+ *    supervisor calls too), then it waits at its loop top until the
+ *    monitor re-arms its slot, and carries on (DESIGN.md §10);
  *  - straggler hooks: each worker passes a cooperative pause point
  *    (support/straggler.h) every loop iteration so tests can stall
- *    chosen workers deterministically, and RunOptions::reclaimAfterMs
- *    arms scheduler-side reclamation of a stalled worker's queues.
+ *    chosen workers deterministically.
  */
 
 #ifndef HDCPS_RUNTIME_EXECUTOR_H_
@@ -72,19 +78,21 @@ struct RunOptions
     bool recordBreakdown = false;
     /**
      * Progress watchdog window in milliseconds; 0 disables it. When
-     * enabled, a monitor thread checks every window: if tasks are still
-     * in flight but no worker popped anything for a full window, the
-     * run is failed with a diagnostic dump (per-worker pop counts,
-     * scheduler occupancy, metrics totals) instead of hanging.
+     * enabled, the run's monitor thread checks every window: if tasks
+     * are still in flight but no worker popped anything for a full
+     * window, the run is failed with a diagnostic dump (per-worker pop
+     * counts, scheduler occupancy, metrics totals) instead of hanging.
      */
     uint64_t watchdogMs = 0;
     /**
-     * Straggler-reclamation window in milliseconds; 0 disables it.
-     * Forwarded to Scheduler::setReclaimAfterMs before workers start
-     * (always — the RunOptions value is authoritative), so designs with
-     * per-worker buffers let idle peers drain a worker whose heartbeat
-     * has been stale for longer than this window. Designs without such
-     * buffers ignore the knob.
+     * Stall-supervision window in milliseconds; 0 disables it. When
+     * set, the run's monitor thread treats a worker whose loop-top
+     * heartbeat is this stale as wedged, quarantines it and reclaims
+     * its buffered tasks into its peers. Forwarded to
+     * Scheduler::setReclaimAfterMs before workers start (always — the
+     * RunOptions value is authoritative), which arms the scheduler's
+     * owner-side guard for the reclaim. Designs without per-worker
+     * buffers have nothing to reclaim.
      */
     uint64_t reclaimAfterMs = 0;
     /**

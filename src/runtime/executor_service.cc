@@ -316,7 +316,14 @@ ExecutorService::ExecutorService(Scheduler &sched,
                     options.metrics->numWorkers(), options.numThreads);
         sched.attachMetrics(options.metrics);
     }
-    sched.setReclaimAfterMs(options.reclaimAfterMs);
+    // One guard rule: the owner-side guard is on whenever a monitor may
+    // reclaim, which here means whenever the supervisor runs. A wedged
+    // worker may still be inside a task, and its next push must not
+    // race the drain.
+    sched.setReclaimAfterMs(
+        options.supervisor.enabled
+            ? std::max<uint64_t>(options.supervisor.wedgedAfterMs, 1)
+            : 0);
 
     // Materialize configured tenants up front so quotas and weights
     // apply from the very first submit; tenants first seen at submit
@@ -1342,7 +1349,8 @@ ExecutorService::supervisorLoop()
         for (unsigned tid = 0; tid < options_.numThreads; ++tid) {
             switch (supervisor_->poll(tid, nowNs())) {
               case WorkerSupervisor::Decision::Quarantine:
-                quarantineAndReclaim(tid);
+                quarantineAndReclaim(sched_, tid, options_.metrics);
+                work_.notify_all(); // reclaimed tasks sit with peers
                 break;
               case WorkerSupervisor::Decision::Restart:
                 healWorker(tid);
@@ -1357,23 +1365,6 @@ ExecutorService::supervisorLoop()
     }
 }
 
-size_t
-ExecutorService::quarantineAndReclaim(unsigned tid)
-{
-    sched_.quarantine(tid);
-    const unsigned peer = (tid + 1) % options_.numThreads;
-    uint64_t t0 = nowNs();
-    size_t moved = sched_.reclaimWorker(peer, tid);
-    if (options_.metrics) {
-        // Only the supervisor thread ever writes this global series,
-        // so its single-writer busy cell never sees overlap.
-        options_.metrics->recordGlobal(GlobalSeries::ReclaimLatencyMs,
-                                       double(nowNs() - t0) / 1e6);
-    }
-    work_.notify_all(); // reclaimed tasks now sit with (idle?) peers
-    return moved;
-}
-
 void
 ExecutorService::healWorker(unsigned tid)
 {
@@ -1386,7 +1377,8 @@ ExecutorService::healWorker(unsigned tid)
     // crash-path death was never reclaimed at all. Both ways, nothing
     // strands in a slot nobody drives. (Quarantining twice is
     // harmless.)
-    quarantineAndReclaim(tid);
+    quarantineAndReclaim(sched_, tid, options_.metrics);
+    work_.notify_all();
     supervisor_->noteRestarted(tid, nowNs());
     if (options_.metrics) {
         // Post-join, pre-spawn: nothing else drives slot tid's metric
@@ -1414,7 +1406,8 @@ ExecutorService::escalateService(unsigned tid)
 
     if (workers_[tid].joinable())
         workers_[tid].join();
-    quarantineAndReclaim(tid);
+    quarantineAndReclaim(sched_, tid, options_.metrics);
+    work_.notify_all();
     supervisor_->retire(tid);
     if (options_.metrics) {
         uint64_t flips = supervisor_->drainTransitions(tid);

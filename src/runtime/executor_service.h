@@ -70,7 +70,8 @@
  * worker-exit latch. A worker that wedges (stale heartbeat) or dies
  * (crash drill / escaped exception) is quarantined — the scheduler
  * stops routing remote work at it — its buffered tasks are forcibly
- * reclaimed into live peers, and a replacement thread is spawned into
+ * reclaimed into live peers (quarantineAndReclaim, shared with
+ * run()), and a replacement thread is spawned into
  * the freed slot, up to SupervisorPolicy::maxRestarts per sliding
  * window; past the budget the service escalates: every live job fails,
  * future submissions are rejected, and the slot is retired. Task
@@ -367,7 +368,6 @@ struct ServiceOptions
      *  default TenantQuota (weight 1, no limits) on first use. */
     std::map<TenantId, TenantQuota> tenants;
     uint64_t seed = 1;           ///< retry-backoff jitter seed
-    uint64_t reclaimAfterMs = 0; ///< forwarded to the scheduler
     /** Optional observability sink (>= numThreads worker slots,
      *  outlives the service). Workers attribute TaskRetries /
      *  DrainedTasks to their own slots; job latencies land in the
@@ -552,10 +552,6 @@ class ExecutorService
     /** Supervisor thread: poll the health FSM and execute its
      *  decisions (quarantine + reclaim, heal, escalate). */
     void supervisorLoop();
-
-    /** Quarantine `tid` and force-reclaim its buffered tasks into live
-     *  peers; records ReclaimLatencyMs. Returns tasks moved. */
-    size_t quarantineAndReclaim(unsigned tid);
 
     /** Heal a Dead slot: join the dead incarnation, reclaim its
      *  backlog, flush supervision metrics (post-join safe window),

@@ -69,7 +69,7 @@ WorkerSupervisor::poll(unsigned tid, uint64_t nowNs)
     }
 
     const uint64_t hb =
-        life.heartbeatNs.load(std::memory_order_acquire);
+        life.lastBeatNs.load(std::memory_order_acquire);
     if (hb == 0 || nowNs <= hb)
         return Decision::None; // not yet started, or clock skew
     const uint64_t staleNs = nowNs - hb;
@@ -107,12 +107,13 @@ WorkerSupervisor::noteRestarted(unsigned tid, uint64_t nowNs)
 {
     Slot &slot = *slots_[tid];
     WorkerLifeline &life = slot.lifeline;
-    // The dead incarnation was joined, so no thread observes these
-    // until the replacement spawns and captures epochOf().
-    life.epoch.fetch_add(1, std::memory_order_release);
+    // The epoch bump comes last and releases the re-armed lifeline: a
+    // service replacement spawns after it, and a run() worker waiting
+    // in its slot (executor.cc, awaitRearm) resumes on observing it.
     life.crashed.store(false, std::memory_order_relaxed);
-    life.exited.store(false, std::memory_order_release);
-    life.heartbeatNs.store(nowNs, std::memory_order_relaxed);
+    life.exited.store(false, std::memory_order_relaxed);
+    life.lastBeatNs.store(nowNs, std::memory_order_relaxed);
+    life.epoch.fetch_add(1, std::memory_order_release);
     slot.restarts += 1;
     totalRestarts_.fetch_add(1, std::memory_order_relaxed);
     transition(slot, WorkerHealth::Healthy);

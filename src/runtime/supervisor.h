@@ -1,8 +1,10 @@
 /**
  * @file
- * Worker supervision for the ExecutorService: a per-worker health FSM
+ * Worker supervision for both runtimes — run()'s monitor thread and
+ * the ExecutorService's supervisor thread: a per-worker health FSM
  * driven by heartbeat freshness and the worker-exit latch, plus the
  * restart-budget policy that decides between healing and escalation.
+ * It is the repo's one way to find a stalled worker (DESIGN.md §10).
  *
  * Health model (DESIGN.md §15):
  *
@@ -17,11 +19,13 @@
  *
  * Division of labor: the supervisor *detects and decides* — it never
  * touches scheduler queues, metric slots, or threads itself. The
- * ExecutorService's supervisor loop executes the returned Decision
- * (quarantine + reclaim via the Scheduler supervision hooks, join +
- * respawn of the std::thread, metric flushes in the post-join safe
- * window). That split keeps this class a lock-free state machine that
- * is trivially exercised by unit tests without threads.
+ * runtime's monitor executes the returned Decision: quarantine +
+ * reclaim (quarantineAndReclaim in worker_common.h) in both; join +
+ * respawn of the std::thread and metric flushes in the post-join safe
+ * window in the service, while run() re-arms the slot for the same
+ * thread. That split keeps this class a lock-free state machine that
+ * unit tests drive without threads (test_service.cc,
+ * WorkerSupervisorFsm.*).
  *
  * Threading contract:
  *  - Worker API (beat / superseded / noteExit) is called by worker
@@ -90,13 +94,14 @@ struct SupervisorStats
 
 /**
  * The health FSM over all worker slots. One instance per
- * ExecutorService, sized at construction; slots are identified by the
- * same tid the scheduler and metrics use.
+ * ExecutorService (or per run() with reclamation armed), sized at
+ * construction; slots are identified by the same tid the scheduler and
+ * metrics use.
  */
 class WorkerSupervisor
 {
   public:
-    /** What the service's supervisor loop must do for a slot now. */
+    /** What the runtime's monitor must do for a slot now. */
     enum class Decision : uint8_t {
         None,       ///< no action
         Quarantine, ///< newly Wedged: quarantine + reclaim; epoch bumped
@@ -110,17 +115,18 @@ class WorkerSupervisor
     // ---- worker-thread API -------------------------------------------
 
     /** Publish liveness; call at every loop top. One padded release
-     *  store (WorkerLifeline::heartbeatNs says why release). */
+     *  store (WorkerLifeline::lastBeatNs says why release). */
     void
     beat(unsigned tid, uint64_t nowNs)
     {
-        slots_[tid]->lifeline.heartbeatNs.store(
+        slots_[tid]->lifeline.lastBeatNs.store(
             nowNs, std::memory_order_release);
     }
 
     /** True once the supervisor superseded this incarnation: the
-     *  caller must exit its loop and noteExit(). Acquire pairs with
-     *  the supervisor's epoch bump. */
+     *  caller must leave its loop top and noteExit() — the service's
+     *  worker exits, a run() worker waits to be re-armed. Acquire
+     *  pairs with the supervisor's epoch bump. */
     bool
     superseded(unsigned tid, uint64_t myEpoch) const
     {
@@ -160,9 +166,10 @@ class WorkerSupervisor
      */
     Decision poll(unsigned tid, uint64_t nowNs);
 
-    /** A replacement thread for `tid` was spawned: rearm the lifeline
-     *  (fresh heartbeat, clear latches) and mark Healthy. Call after
-     *  the old thread was joined and before the new one runs. */
+    /** Re-arm `tid`'s lifeline (fresh heartbeat, clear latches, bump
+     *  the epoch last) and mark Healthy. The service calls it after
+     *  joining the old thread and before spawning the replacement;
+     *  run() calls it while the superseded thread waits to resume. */
     void noteRestarted(unsigned tid, uint64_t nowNs);
 
     /** Permanently remove `tid` from supervision (escalation or

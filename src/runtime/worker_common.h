@@ -21,6 +21,9 @@
  *    worker follows so oversubscribed hosts still make progress.
  *  - TokenBucket: the deterministic admission rate limiter the
  *    service's per-tenant quotas use (DESIGN.md §17).
+ *  - quarantineAndReclaim: the one stall-recovery action both
+ *    runtimes' monitors take on a WorkerSupervisor decision
+ *    (DESIGN.md §10, §15.2).
  */
 
 #ifndef HDCPS_RUNTIME_WORKER_COMMON_H_
@@ -35,7 +38,10 @@
 #include <utility>
 #include <vector>
 
+#include "cps/scheduler.h"
+#include "obs/metrics.h"
 #include "support/compiler.h"
+#include "support/timer.h"
 
 namespace hdcps {
 
@@ -265,10 +271,11 @@ struct alignas(cacheLineBytes) WorkerLifeline
      *  store, acquire load: a worker beats holding no task, after its
      *  previous iteration's pushes, so a supervisor that reads the
      *  last beat of a wedged worker also sees everything that worker
-     *  wrote into the scheduler before it — the wedge-time reclaim
-     *  reads the victim's buffers with no other synchronization. Both
-     *  are plain moves on x86. */
-    std::atomic<uint64_t> heartbeatNs{0};
+     *  wrote into the scheduler before it. Pushes and pops after the
+     *  beat are ordered against the reclaim by the scheduler's
+     *  owner-side guard (Scheduler::setReclaimAfterMs). Both are plain
+     *  moves on x86. */
+    std::atomic<uint64_t> lastBeatNs{0};
     /** Slot incarnation. A worker captures the epoch at spawn and
      *  exits at the next loop top once the supervisor bumped it
      *  (acquire/release pairing: a superseded worker that observes the
@@ -283,6 +290,35 @@ struct alignas(cacheLineBytes) WorkerLifeline
      *  rather than a cooperative supersession/shutdown exit. */
     std::atomic<bool> crashed{false};
 };
+
+/**
+ * Stall recovery, shared by run()'s monitor thread and the
+ * ExecutorService's supervisor thread: mask worker `tid` out of
+ * routing, then drain its buffered tasks into its live peers
+ * (Scheduler::quarantine, Scheduler::reclaimWorker). The caller is the
+ * one monitor thread of its runtime, and the scheduler's owner-side
+ * guard is armed (setReclaimAfterMs > 0), so the drain is safe while
+ * `tid`'s thread still runs. Records the drain's latency and size in
+ * the ReclaimLatencyMs and ReclaimedTasks global series, which only
+ * that monitor writes, and no worker's metric slot. Returns the tasks
+ * moved.
+ */
+inline size_t
+quarantineAndReclaim(Scheduler &sched, unsigned tid,
+                     MetricsRegistry *metrics)
+{
+    sched.quarantine(tid);
+    const unsigned peer = (tid + 1) % sched.numWorkers();
+    const uint64_t t0 = nowNs();
+    const size_t moved = sched.reclaimWorker(peer, tid);
+    if (metrics) {
+        metrics->recordGlobal(GlobalSeries::ReclaimLatencyMs,
+                              double(nowNs() - t0) / 1e6);
+        metrics->recordGlobal(GlobalSeries::ReclaimedTasks,
+                              double(moved));
+    }
+    return moved;
+}
 
 /**
  * Deterministic token-bucket rate limiter: refills continuously at

@@ -208,10 +208,12 @@ runConformanceScenario(const DesignCase &design, const ChaosCase &chaos,
         return;
     }
     EXPECT_FALSE(r.failed) << r.error;
-    if (expectTasks > 0)
+    if (expectTasks > 0) {
         EXPECT_EQ(r.total.tasksProcessed, expectTasks);
-    if (oracle != nullptr)
+    }
+    if (oracle != nullptr) {
         EXPECT_TRUE(oracle->verify(&why)) << why;
+    }
 }
 
 TEST_P(ConformanceMatrix, ChaosInvariantsOnTaskTree)

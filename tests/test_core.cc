@@ -806,21 +806,26 @@ TEST(HdCpsScheduler, SizeApproxCountsTransferBuffers)
 
 TEST(Reclaim, OffByDefaultStrandsAStragglersTasks)
 {
-    // The control case: without the knob, tasks parked at a worker
-    // that never pops are unreachable from its peers.
+    // The control case: until a monitor calls reclaimWorker, tasks
+    // parked at a worker that never pops are unreachable from its
+    // peers, whether or not the guard is armed — the scheduler never
+    // reclaims on its own.
     HdCpsConfig config = HdCpsScheduler::configSrq();
     config.tdf = 100; // every push goes to the other worker
     HdCpsScheduler sched(2, config);
     for (uint32_t i = 0; i < 10; ++i)
         sched.push(0, Task{i, i, 0});
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
     Task t;
-    EXPECT_FALSE(sched.tryPop(0, t));
-    EXPECT_EQ(sched.reclaimedTasks(), 0u);
-    EXPECT_EQ(sched.sizeApprox(), 10u); // stranded in worker 1's sRQ
+    for (uint64_t guard : {uint64_t(0), uint64_t(20)}) {
+        sched.setReclaimAfterMs(guard);
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        EXPECT_FALSE(sched.tryPop(0, t)) << guard;
+        EXPECT_EQ(sched.reclaimedTasks(), 0u) << guard;
+        EXPECT_EQ(sched.sizeApprox(), 10u) << guard; // worker 1's sRQ
+    }
 }
 
-TEST(Reclaim, IdleWorkerDrainsAStaleStragglersSrq)
+TEST(Reclaim, ReclaimWorkerDrainsAStragglersSrq)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();
     config.tdf = 100;
@@ -829,13 +834,10 @@ TEST(Reclaim, IdleWorkerDrainsAStaleStragglersSrq)
     for (uint32_t i = 0; i < 10; ++i)
         sched.push(0, Task{i, i, 0});
 
-    // Worker 1's heartbeat is still fresh (setReclaimAfterMs refreshed
-    // it): reclamation must not fire early.
+    // Worker 1 never pops; the monitor drains its sRQ into worker 0.
     Task t;
     EXPECT_FALSE(sched.tryPop(0, t));
-    EXPECT_EQ(sched.reclaimedTasks(), 0u);
-
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    EXPECT_EQ(sched.reclaimWorker(0, 1), 10u);
     unsigned popped = 0;
     Priority last = 0;
     while (sched.tryPop(0, t)) {
@@ -845,8 +847,8 @@ TEST(Reclaim, IdleWorkerDrainsAStaleStragglersSrq)
     }
     EXPECT_EQ(popped, 10u); // every stranded task, exactly once
     EXPECT_EQ(sched.reclaimedTasks(), 10u);
-    EXPECT_EQ(sched.heartbeatPops(0), 10u);
     EXPECT_EQ(sched.sizeApprox(), 0u);
+    EXPECT_FALSE(sched.tryPop(1, t)) << "the victim keeps nothing";
 }
 
 TEST(Reclaim, DrainsOverflowAndPrivatePqToo)
@@ -870,7 +872,7 @@ TEST(Reclaim, DrainsOverflowAndPrivatePqToo)
     ASSERT_TRUE(sched.tryPop(1, t));
     EXPECT_EQ(sched.sizeApprox(), 9u);
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    EXPECT_EQ(sched.reclaimWorker(0, 1), 9u);
     unsigned popped = 0;
     while (sched.tryPop(0, t))
         ++popped;
@@ -895,7 +897,7 @@ TEST(Reclaim, DrainsAStragglersActiveBag)
     Task t;
     ASSERT_TRUE(sched.tryPop(1, t));
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    EXPECT_EQ(sched.reclaimWorker(0, 1), 3u);
     unsigned popped = 0;
     while (sched.tryPop(0, t))
         ++popped;
@@ -903,15 +905,13 @@ TEST(Reclaim, DrainsAStragglersActiveBag)
     EXPECT_EQ(sched.reclaimedTasks(), 3u);
 }
 
-TEST(Reclaim, PrefersSameNodeVictimsOnHierarchicalTopologies)
+TEST(Reclaim, PrefersSameNodeDestinationsOnHierarchicalTopologies)
 {
-    // Two stale stragglers, one per node of a synthetic 2x2 box:
-    // worker 0 (node 0, same node as the reclaimer) and worker 2
-    // (node 1). Reclaimed tasks land in the reclaimer's private PQ, so
-    // the scan must drain the same-node straggler and stop there — the
-    // old flat modular scan from tid 1 visited worker 2 first and
-    // pulled node 1's stranded work across the socket while node 0's
-    // sat one hop away.
+    // A synthetic 2x2 box: node 0 = {0, 1}, node 1 = {2, 3}. A
+    // stalled worker's tasks carry priorities from its node's region
+    // of the problem, so reclaimWorker hands them to its same-node
+    // peer and leaves node 1 alone; only when every same-node peer is
+    // quarantined too do cross-node peers take them.
     HdCpsConfig config = HdCpsScheduler::configSrq();
     config.tdf = 100;        // every push leaves the pusher...
     config.crossNodePct = 0; // ...toward its only same-node peer
@@ -921,31 +921,40 @@ TEST(Reclaim, PrefersSameNodeVictimsOnHierarchicalTopologies)
     sched.setReclaimAfterMs(20);
     for (uint32_t i = 0; i < 5; ++i)
         sched.push(1, Task{uint64_t(i), i, 0}); // lands at worker 0
-    for (uint32_t i = 0; i < 5; ++i)
-        sched.push(3, Task{uint64_t(100 + i), 100 + i, 0}); // worker 2
-    ASSERT_EQ(sched.sizeApprox(), 10u);
+    ASSERT_EQ(sched.sizeApprox(), 5u);
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    // Exactly five pops: the first triggers one reclaim pass (which
-    // must take worker 0's five tasks and leave worker 2 alone), the
-    // rest drain the reclaimer's PQ without a further pass.
+    sched.quarantine(0);
+    EXPECT_EQ(sched.reclaimWorker(2, 0), 5u);
     Task t;
-    for (unsigned i = 0; i < 5; ++i) {
+    EXPECT_FALSE(sched.tryPop(2, t)) << "a cross-node peer got work";
+    EXPECT_FALSE(sched.tryPop(3, t)) << "a cross-node peer got work";
+    for (unsigned i = 0; i < 5; ++i)
         ASSERT_TRUE(sched.tryPop(1, t)) << i;
-        EXPECT_LT(t.priority, 100u)
-            << "drained a cross-node victim while a same-node "
-               "straggler still had work";
+    EXPECT_FALSE(sched.tryPop(1, t));
+
+    // Worker 1 quarantined as well: the fallback crosses nodes.
+    sched.reinstate(0);
+    for (uint32_t i = 0; i < 4; ++i)
+        sched.push(1, Task{uint64_t(10 + i), 10 + i, 0});
+    sched.quarantine(0);
+    sched.quarantine(1);
+    EXPECT_EQ(sched.reclaimWorker(2, 0), 4u);
+    unsigned crossNode = 0;
+    for (unsigned tid : {2u, 3u}) {
+        while (sched.tryPop(tid, t))
+            ++crossNode;
     }
-    EXPECT_EQ(sched.reclaimedTasks(), 5u);
-    EXPECT_EQ(sched.sizeApprox(), 5u); // node 1's work left in place
+    EXPECT_EQ(crossNode, 4u);
+    EXPECT_EQ(sched.reclaimedTasks(), 9u);
+    EXPECT_EQ(sched.sizeApprox(), 0u);
 }
 
 TEST(HdCpsScheduler, PushBatchTasksAreVisibleOnReturn)
 {
     // Scheduler contract: once pushBatch returns, every task sits in a
     // queue that sizeApprox sees, and any worker can pop the full batch
-    // (here via reclamation, since worker 1 owns all the transferred
-    // work).
+    // (here after reclaimWorker, since worker 1 owns all the
+    // transferred work).
     HdCpsConfig config = HdCpsScheduler::configSrq();
     config.tdf = 100;
     config.seed = 21;
@@ -956,7 +965,7 @@ TEST(HdCpsScheduler, PushBatchTasksAreVisibleOnReturn)
         batch.push_back(Task{uint64_t(i % 3), i, 0});
     sched.pushBatch(0, batch.data(), batch.size());
     EXPECT_EQ(sched.sizeApprox(), 40u);
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    EXPECT_EQ(sched.reclaimWorker(0, 1), 40u);
     Task t;
     unsigned popped = 0;
     while (sched.tryPop(0, t))

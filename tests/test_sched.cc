@@ -681,26 +681,34 @@ TEST(VerifyingWrapper, SamplesRankErrorOnInvertedOrder)
 
 TEST(VerifyingWrapper, ForwardsReclaimKnobToInner)
 {
-    // The wrapper must pass setReclaimAfterMs through, or chaos runs
-    // would silently test the wrong configuration.
+    // The wrapper must pass the guard knob and the supervision hooks
+    // through, or chaos runs would silently test the wrong
+    // configuration.
     constexpr unsigned threads = 2;
     HdCpsConfig config = HdCpsScheduler::configSrq();
     config.tdf = 100; // all pushes go remote
     HdCpsScheduler inner(threads, config);
     VerifyingScheduler sched(inner);
     sched.setReclaimAfterMs(25);
-    // Worker 0 pushes remotely toward worker 1, which never pops; once
-    // the heartbeat goes stale, worker 0 reclaims through the wrapper.
+    EXPECT_TRUE(inner.reclaimGuarded());
+    // Worker 0 pushes remotely toward worker 1, which never pops; a
+    // monitor quarantines worker 1 and reclaims through the wrapper.
     for (uint32_t i = 0; i < 10; ++i)
         sched.push(0, Task{i, i, 0});
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    sched.quarantine(1);
+    EXPECT_TRUE(inner.isQuarantined(1));
+    EXPECT_EQ(sched.reclaimWorker(0, 1), 10u);
+    sched.reinstate(1);
+    EXPECT_FALSE(inner.isQuarantined(1));
     Task out;
     unsigned popped = 0;
     while (sched.tryPop(0, out))
         ++popped;
     EXPECT_EQ(popped, 10u);
-    EXPECT_GT(inner.reclaimedTasks(), 0u);
+    EXPECT_EQ(inner.reclaimedTasks(), 10u);
     EXPECT_TRUE(sched.checkComplete(false));
+    sched.setReclaimAfterMs(0);
+    EXPECT_FALSE(inner.reclaimGuarded());
 }
 
 } // namespace

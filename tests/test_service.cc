@@ -1354,6 +1354,211 @@ TEST(Service, SupervisorRecoversWedgedWorker)
 }
 
 /**
+ * Supervision: a worker wedged *inside* a task, holding it. The
+ * supervisor quarantines the worker and reclaims its queues while its
+ * thread is still in the ProcessFn, which then emits 64 children into
+ * that worker's private PQ. The service arms the scheduler's
+ * owner-side guard for as long as its supervisor runs, so the drain on
+ * the supervisor thread and the worker's own push and pop never
+ * overlap (a sanitizer build reports any data race here); the job
+ * completes and the ledger balances.
+ */
+TEST(Service, SupervisorReclaimsWorkerWedgedInsideATask)
+{
+    constexpr unsigned threads = 2;
+    HdCpsConfig config = HdCpsScheduler::configSrq();
+    config.tdf = 0; // children stay with the wedged worker
+    HdCpsScheduler inner(threads, config);
+    VerifyingScheduler verify(inner);
+
+    ServiceOptions options;
+    options.numThreads = threads;
+    options.supervisor.enabled = true;
+    options.supervisor.probeIntervalMs = 1;
+    options.supervisor.suspectAfterMs = 10;
+    options.supervisor.wedgedAfterMs = 20;
+    ExecutorService svc(verify, options);
+    EXPECT_TRUE(inner.reclaimGuarded());
+
+    std::atomic<uint64_t> processed{0};
+    JobSpec spec;
+    spec.name = "wedged-root";
+    spec.process = [&](unsigned, const Task &task,
+                       std::vector<Task> &children) {
+        processed.fetch_add(1, std::memory_order_relaxed);
+        if (task.data == 0)
+            return;
+        for (int ms = 0; ms < 5000 && svc.stats().wedgesDetected == 0;
+             ++ms)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        for (uint32_t i = 0; i < 64; ++i)
+            children.push_back(Task{1, i + 1, 0});
+    };
+    spec.initial = {Task{0, 0, 1}};
+    JobHandle job = svc.submit(std::move(spec));
+    EXPECT_EQ(job.wait(), JobState::Completed);
+    EXPECT_EQ(processed.load(), 65u);
+    EXPECT_GE(svc.stats().wedgesDetected, 1u);
+    svc.shutdown();
+
+    std::string why;
+    EXPECT_TRUE(verify.checkComplete(false, &why)) << why;
+}
+
+TEST(Service, GuardFollowsTheSupervisor)
+{
+    // One guard rule: the owner-side guard is on exactly when a
+    // monitor may reclaim, i.e. when the service runs a supervisor.
+    HdCpsScheduler inner(2, HdCpsScheduler::configSw());
+    inner.setReclaimAfterMs(50); // a stale setting from earlier use
+    {
+        ServiceOptions options;
+        options.numThreads = 2;
+        ExecutorService svc(inner, options);
+        EXPECT_FALSE(inner.reclaimGuarded());
+    }
+    {
+        ServiceOptions options;
+        options.numThreads = 2;
+        options.supervisor.enabled = true;
+        ExecutorService svc(inner, options);
+        EXPECT_TRUE(inner.reclaimGuarded());
+    }
+}
+
+// ------------------------------------------ thread-free supervisor FSM
+
+/** Milliseconds as the supervisor's nanosecond clock. */
+constexpr uint64_t
+msNs(uint64_t ms)
+{
+    return ms * 1000000;
+}
+
+SupervisorPolicy
+fsmPolicy(unsigned maxRestarts = 8)
+{
+    SupervisorPolicy policy;
+    policy.enabled = true;
+    policy.suspectAfterMs = 10;
+    policy.wedgedAfterMs = 20;
+    policy.maxRestarts = maxRestarts;
+    policy.restartWindowMs = 1000;
+    return policy;
+}
+
+using Decision = WorkerSupervisor::Decision;
+
+TEST(WorkerSupervisorFsm, StaleHeartbeatWalksToWedgedAndQuarantinesOnce)
+{
+    WorkerSupervisor sup(2, fsmPolicy());
+    sup.beat(0, msNs(1));
+    sup.beat(1, msNs(1));
+    const uint64_t epoch = sup.epochOf(0);
+
+    EXPECT_EQ(sup.poll(0, msNs(5)), Decision::None);
+    EXPECT_EQ(sup.health(0), WorkerHealth::Healthy);
+    EXPECT_EQ(sup.poll(0, msNs(12)), Decision::None);
+    EXPECT_EQ(sup.health(0), WorkerHealth::Suspect);
+    EXPECT_FALSE(sup.superseded(0, epoch));
+
+    EXPECT_EQ(sup.poll(0, msNs(22)), Decision::Quarantine);
+    EXPECT_EQ(sup.health(0), WorkerHealth::Wedged);
+    EXPECT_EQ(sup.epochOf(0), epoch + 1);
+    EXPECT_TRUE(sup.superseded(0, epoch));
+    // Still stale, still wedged: no second Quarantine.
+    EXPECT_EQ(sup.poll(0, msNs(40)), Decision::None);
+    EXPECT_EQ(sup.poll(0, msNs(80)), Decision::None);
+    EXPECT_EQ(sup.stats().wedgesDetected, 1u);
+    EXPECT_EQ(sup.stats().healthTransitions, 2u);
+    EXPECT_EQ(sup.drainTransitions(0), 2u);
+    EXPECT_EQ(sup.drainTransitions(1), 0u);
+
+    // A slot first polled past the wedged threshold still passes
+    // through Suspect, and its epoch is bumped the same way.
+    const uint64_t epoch1 = sup.epochOf(1);
+    EXPECT_EQ(sup.poll(1, msNs(30)), Decision::Quarantine);
+    EXPECT_EQ(sup.epochOf(1), epoch1 + 1);
+    EXPECT_EQ(sup.drainTransitions(1), 2u);
+}
+
+TEST(WorkerSupervisorFsm, FreshBeatReturnsSuspectToHealthy)
+{
+    WorkerSupervisor sup(1, fsmPolicy());
+    sup.beat(0, msNs(1));
+    EXPECT_EQ(sup.poll(0, msNs(12)), Decision::None);
+    EXPECT_EQ(sup.health(0), WorkerHealth::Suspect);
+    sup.beat(0, msNs(13));
+    EXPECT_EQ(sup.poll(0, msNs(14)), Decision::None);
+    EXPECT_EQ(sup.health(0), WorkerHealth::Healthy);
+    EXPECT_EQ(sup.stats().wedgesDetected, 0u);
+    EXPECT_EQ(sup.stats().healthTransitions, 2u);
+}
+
+TEST(WorkerSupervisorFsm, ExitAfterWedgeRestartsThenBudgetEscalates)
+{
+    WorkerSupervisor sup(1, fsmPolicy(/*maxRestarts=*/1));
+    sup.beat(0, msNs(1));
+    ASSERT_EQ(sup.poll(0, msNs(25)), Decision::Quarantine);
+    sup.noteExit(0, /*crashed=*/false);
+    EXPECT_EQ(sup.poll(0, msNs(26)), Decision::Restart);
+    EXPECT_EQ(sup.health(0), WorkerHealth::Dead);
+    // Dead is mid-heal: nothing more until noteRestarted.
+    EXPECT_EQ(sup.poll(0, msNs(27)), Decision::None);
+    sup.noteRestarted(0, msNs(28));
+
+    // The second death inside the window finds the budget spent.
+    ASSERT_EQ(sup.poll(0, msNs(60)), Decision::Quarantine);
+    sup.noteExit(0, /*crashed=*/false);
+    EXPECT_EQ(sup.poll(0, msNs(61)), Decision::Escalate);
+    EXPECT_TRUE(sup.escalated());
+    EXPECT_TRUE(sup.stats().escalated);
+    EXPECT_EQ(sup.stats().workerRestarts, 1u);
+    EXPECT_EQ(sup.stats().crashesDetected, 0u);
+}
+
+TEST(WorkerSupervisorFsm, CleanExitOfANeverSupersededSlotIsNone)
+{
+    WorkerSupervisor sup(2, fsmPolicy());
+    sup.beat(0, msNs(1));
+    sup.beat(1, msNs(1));
+    // A shutdown drain: the slot leaves cleanly, nobody superseded it.
+    sup.noteExit(0, /*crashed=*/false);
+    EXPECT_EQ(sup.poll(0, msNs(2)), Decision::None);
+    EXPECT_EQ(sup.poll(0, msNs(50)), Decision::None);
+    EXPECT_EQ(sup.health(0), WorkerHealth::Healthy);
+    // A crash exit is a death whatever the heartbeat says.
+    sup.noteExit(1, /*crashed=*/true);
+    EXPECT_EQ(sup.poll(1, msNs(2)), Decision::Restart);
+    EXPECT_EQ(sup.stats().crashesDetected, 1u);
+}
+
+TEST(WorkerSupervisorFsm, NoteRestartedRearmsTheLifeline)
+{
+    WorkerSupervisor sup(1, fsmPolicy());
+    sup.beat(0, msNs(1));
+    ASSERT_EQ(sup.poll(0, msNs(25)), Decision::Quarantine);
+    sup.noteExit(0, /*crashed=*/false);
+    ASSERT_EQ(sup.poll(0, msNs(26)), Decision::Restart);
+    const uint64_t before = sup.epochOf(0);
+
+    sup.noteRestarted(0, msNs(30));
+    const uint64_t epoch = sup.epochOf(0);
+    EXPECT_EQ(epoch, before + 1);
+    EXPECT_FALSE(sup.superseded(0, epoch));
+    EXPECT_EQ(sup.health(0), WorkerHealth::Healthy);
+    EXPECT_EQ(sup.stats().workerRestarts, 1u);
+    // The exit latch is cleared and the heartbeat fresh: no stale
+    // Restart, no early wedge.
+    EXPECT_EQ(sup.poll(0, msNs(31)), Decision::None);
+    EXPECT_EQ(sup.poll(0, msNs(45)), Decision::None);
+    EXPECT_EQ(sup.health(0), WorkerHealth::Suspect);
+    // The lifeline is live again: staleness wedges the new incarnation.
+    EXPECT_EQ(sup.poll(0, msNs(51)), Decision::Quarantine);
+    EXPECT_TRUE(sup.superseded(0, epoch));
+}
+
+/**
  * Poison quarantine: tasks the svc.task.poison drill marks fail on
  * every attempt; with deadLetterOnExhaustion set they are diverted to
  * the job's dead-letter queue and the job still *completes*, with

@@ -445,13 +445,28 @@ TEST(Watchdog, QuietOnHealthyRun)
 // ----------------------------------- straggler resilience (tentpole)
 
 /**
- * The PR's acceptance pair: the same SSSP run with one worker paused
- * far longer than the progress windows. Without reclamation the tasks
- * parked in the straggler's sRQ strand the run — the watchdog is the
- * only thing standing between that and an infinite hang. With
- * reclamation armed, idle peers drain the straggler's queues and the
- * run completes correctly.
+ * The same SSSP run with one worker paused far longer than the
+ * progress windows. Without reclamation the tasks parked in the
+ * straggler's sRQ strand the run — the watchdog is the only thing
+ * standing between that and an infinite hang. With reclamation armed,
+ * run()'s monitor finds the stale heartbeat, quarantines the straggler
+ * and drains its queues into its peers, and the run completes
+ * correctly.
  */
+/** Sum of the reclaimed_tasks series run()'s monitor writes. */
+uint64_t
+reclaimedSeriesTotal(const MetricsRegistry &metrics)
+{
+    double total = 0;
+    for (const auto &series : metrics.snapshot().series) {
+        if (series.name != "reclaimed_tasks")
+            continue;
+        for (const MetricSample &sample : series.samples)
+            total += sample.value;
+    }
+    return uint64_t(total);
+}
+
 TEST(StragglerResilience, PausedWorkerStallsRunWithoutReclamation)
 {
     Graph g = makeRoadGrid(20, 20, {.seed = 23});
@@ -491,20 +506,76 @@ TEST(StragglerResilience, ReclamationRidesOutThePausedWorker)
     config.tdf = 100;
     HdCpsScheduler sched(threads, config);
     VerifyingScheduler verified(sched);
+    MetricsRegistry::Config metricsConfig;
+    metricsConfig.checkSingleWriter = true;
+    MetricsRegistry metrics(threads, metricsConfig);
     RunOptions options;
     options.numThreads = threads;
     options.watchdogMs = 2000; // only a genuine hang may trip it now
     options.reclaimAfterMs = 25;
+    options.metrics = &metrics;
     RunResult r = run(verified, workload->initialTasks(),
                       workloadProcessFn(*workload), options);
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_GE(stragglers->pausesInjected(), 1u);
     EXPECT_GT(sched.reclaimedTasks(), 0u)
-        << "peers should have drained the paused worker's queues";
+        << "the monitor should have drained the paused worker's queues";
 
     std::string why;
     EXPECT_TRUE(verified.checkComplete(false, &why)) << why;
     ASSERT_TRUE(workload->verify(&why)) << why;
+
+    // The monitor records every reclaim in a series only it writes,
+    // and touches no worker's metric slot.
+    EXPECT_EQ(reclaimedSeriesTotal(metrics), sched.reclaimedTasks());
+    EXPECT_EQ(metrics.writerViolations(), 0u);
+    // run() lifts every quarantine before it returns.
+    for (unsigned tid = 0; tid < threads; ++tid)
+        EXPECT_FALSE(sched.isQuarantined(tid)) << tid;
+}
+
+/**
+ * A worker wedged *inside* a task, not at its loop top: the monitor
+ * quarantines it and reclaims its queues while its thread still runs,
+ * then the task emits 64 children into that worker's private PQ. The
+ * owner-side guard keeps the two from racing; the worker sits out its
+ * supersession at the next loop top until the monitor has reclaimed
+ * the children and re-armed the slot, and the same thread carries on.
+ */
+TEST(StragglerResilience, MonitorReclaimsWorkerWedgedInsideATask)
+{
+    constexpr unsigned threads = 2;
+    HdCpsConfig config = HdCpsScheduler::configSrq();
+    config.tdf = 0; // children stay with the wedged worker
+    HdCpsScheduler sched(threads, config);
+    VerifyingScheduler verified(sched);
+    std::atomic<uint64_t> processed{0};
+    std::atomic<bool> sawQuarantine{false};
+    ProcessFn process = [&](unsigned tid, const Task &task,
+                            std::vector<Task> &children) {
+        processed.fetch_add(1, std::memory_order_relaxed);
+        if (task.data == 0)
+            return;
+        for (int ms = 0; ms < 5000 && !sched.isQuarantined(tid); ++ms)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        sawQuarantine.store(sched.isQuarantined(tid));
+        for (uint32_t i = 0; i < 64; ++i)
+            children.push_back(Task{1, i + 1, 0});
+    };
+    RunOptions options;
+    options.numThreads = threads;
+    options.watchdogMs = 10000; // only a genuine hang may trip it
+    options.reclaimAfterMs = 20;
+    RunResult r = run(verified, {Task{0, 0, 1}}, process, options);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(sawQuarantine.load());
+    EXPECT_EQ(processed.load(), 65u);
+    EXPECT_GE(sched.reclaimedTasks(), 64u)
+        << "the re-arm must reclaim the children the task pushed";
+    std::string why;
+    EXPECT_TRUE(verified.checkComplete(false, &why)) << why;
+    for (unsigned tid = 0; tid < threads; ++tid)
+        EXPECT_FALSE(sched.isQuarantined(tid)) << tid;
 }
 
 // ------------------------------ distributed termination (chaos soak)

@@ -69,7 +69,7 @@ struct Options
     unsigned metricsInterval = 0; ///< 0 = per-mode default
     std::string faultSpec;       ///< empty = no fault injection
     uint64_t watchdogMs = 0;     ///< 0 = watchdog off
-    uint64_t reclaimAfterMs = 0; ///< 0 = sRQ reclamation off
+    uint64_t reclaimAfterMs = 0; ///< 0 = no stall supervision
     std::string stragglerSpec;   ///< empty = no straggler injection
     uint64_t jobStream = 0;      ///< 0 = single run; N = replay N jobs
     uint64_t tenants = 0;        ///< 0 = single implicit tenant
@@ -114,9 +114,11 @@ usage()
         "                delay (site names under --list); seeded by --seed\n"
         "  --watchdog-ms N    fail a threaded run when no task is popped\n"
         "                for N ms while work is pending (default off)\n"
-        "  --reclaim-after-ms N   let idle workers reclaim a stalled\n"
-        "                worker's queued tasks once its heartbeat is\n"
-        "                stale by N ms (threads mode; default off)\n"
+        "  --reclaim-after-ms N   supervise the run's workers: once a\n"
+        "                worker's loop-top heartbeat is stale by N ms, a\n"
+        "                monitor thread quarantines it and moves its\n"
+        "                queued tasks to its peers (threads mode;\n"
+        "                default off)\n"
         "  --straggler-spec S     pause worker threads on purpose:\n"
         "                worker:atCheck:pauseMs[,...] or rand:P:MAXMS\n"
         "                (threads mode; seeded by --seed)\n"

@@ -456,15 +456,18 @@ describe(const Scenario &s)
     return out;
 }
 
-/** Sum of one named counter over all workers in a snapshot. */
+/** Sum of the samples of one named global series in a snapshot. */
 uint64_t
-counterTotal(const MetricsSnapshot &snap, const std::string &name)
+seriesTotal(const MetricsSnapshot &snap, const std::string &name)
 {
-    for (const auto &counter : snap.counters) {
-        if (counter.name == name)
-            return counter.total;
+    double total = 0;
+    for (const auto &series : snap.series) {
+        if (series.name != name)
+            continue;
+        for (const MetricSample &sample : series.samples)
+            total += sample.value;
     }
-    return 0;
+    return uint64_t(total);
 }
 
 struct Tally
@@ -474,6 +477,10 @@ struct Tally
     uint64_t expectedFailures = 0;
     uint64_t reclaimedTasks = 0;
     uint64_t reclaimRuns = 0; ///< runs where reclamation moved tasks
+    /** run() scenarios on an hdcps-* design that paused a worker past
+     *  the reclaim window (the soak's pauses all exceed it) and ran to
+     *  completion: a failed run retires its monitor at the stop. */
+    uint64_t hdcpsPausedRuns = 0;
     uint64_t pausesInjected = 0;
     uint64_t lateHelperRuns = 0; ///< runs whose helpers started late
     uint64_t serviceRuns = 0;
@@ -538,6 +545,9 @@ runScenario(const Scenario &s, const Options &options,
     RunResult r = run(verified, workload->initialTasks(),
                       workloadProcessFn(*workload), runOptions);
     tally.pausesInjected += stragglers.injector().pausesInjected();
+    if (!r.failed && stragglers.injector().pausesInjected() > 0 &&
+        s.design.rfind("hdcps-", 0) == 0)
+        ++tally.hdcpsPausedRuns;
     if (faults->fireCount(faultsite::ExecHelperDelay) > 0)
         ++tally.lateHelperRuns;
 
@@ -555,8 +565,9 @@ runScenario(const Scenario &s, const Options &options,
                     " overlapping writes):" + detail);
     }
 
+    // run()'s monitor records every reclaim in this global series.
     uint64_t reclaimed =
-        counterTotal(metrics.snapshot(), "reclaimed_tasks");
+        seriesTotal(metrics.snapshot(), "reclaimed_tasks");
     tally.reclaimedTasks += reclaimed;
     if (reclaimed > 0)
         ++tally.reclaimRuns;
@@ -1278,5 +1289,14 @@ main(int argc, char **argv)
               << " fairness runs (" << tally.demotedTasks
               << " tasks demoted, " << tally.quotaRejections
               << " quota rejections)\n";
+    // Paused workers resume on their own, so a monitor that never
+    // reclaims would pass every run: the sweep as a whole must show
+    // that reclamation fired.
+    if (tally.hdcpsPausedRuns > 0 && tally.reclaimRuns == 0) {
+        std::cerr << "FAIL: " << tally.hdcpsPausedRuns
+                  << " runs paused an hdcps-* worker past the reclaim "
+                     "window, but no run reclaimed a task\n";
+        ++failures;
+    }
     return failures == 0 ? 0 : 1;
 }
