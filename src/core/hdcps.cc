@@ -153,9 +153,9 @@ BasicHdCpsScheduler<LocalPqT>::onWorkerStart(unsigned tid)
     WorkerState &w = *workers_[tid];
     // Best-effort: synthetic/flat topologies carry no CPU lists, so the
     // pin is a no-op and tests stay host-independent. Called by the
-    // slot's own thread — at startup and again by every healed
-    // replacement, which is exactly how a replacement rejoins its
-    // slot's node group.
+    // slot's own thread — at startup and again each time a heal
+    // re-arms the slot, which is exactly how a healed slot rejoins its
+    // node group.
     if (hierarchical_ && config_.topology.canPin())
         config_.topology.pinThreadToNode(w.node);
     w.binds.fetch_add(1, std::memory_order_relaxed);
@@ -374,7 +374,7 @@ BasicHdCpsScheduler<LocalPqT>::reclaimWorker(unsigned reclaimer,
         if (dest == n) {
             // Every peer is quarantined too (pathological): park the
             // tasks back in the victim's overflow so nothing is lost —
-            // the replacement worker drains it.
+            // the victim's re-armed thread drains it.
             if (e.bag) {
                 for (const Task &t : e.bag->tasks)
                     v.overflow.push(t);

@@ -133,8 +133,8 @@ class BasicHdCpsScheduler : public Scheduler
     void setReclaimAfterMs(uint64_t ms) override;
 
     /** Pin the calling worker thread to its slot's NUMA node (no-op on
-     *  flat/synthetic topologies) and count the bind, so replacement
-     *  threads spawned into a healed slot rejoin its node group. See
+     *  flat/synthetic topologies) and count the bind, so a healed
+     *  slot's thread re-pins to its node group when it resumes. See
      *  Scheduler::onWorkerStart. */
     void onWorkerStart(unsigned tid) override;
 
@@ -218,7 +218,7 @@ class BasicHdCpsScheduler : public Scheduler
     unsigned nodeOfWorker(unsigned tid) const;
 
     /** Times a thread entered worker `tid`'s slot via onWorkerStart —
-     *  1 after a normal start, +1 per healed replacement (tests). */
+     *  1 after a normal start, +1 per heal of the slot (tests). */
     uint64_t workerBinds(unsigned tid) const;
 
     /** Remote sends routed across node boundaries (multi-node only). */
@@ -313,8 +313,8 @@ class BasicHdCpsScheduler : public Scheduler
         unsigned node = 0;
         std::vector<unsigned> sameNodePeers;
         std::vector<unsigned> crossNodePeers;
-        /** Threads that entered this slot via onWorkerStart (startup +
-         *  healed replacements); written by the slot's own thread. */
+        /** Entries into this slot via onWorkerStart (startup + one per
+         *  heal); written by the slot's own thread. */
         std::atomic<uint64_t> binds{0};
         /** High-water marks of stats.{cross,same}NodeEnqueues already
          *  folded into the metrics registry (lazy sync in sampleNow).

@@ -94,12 +94,12 @@ class Scheduler
     /**
      * Worker-thread lifecycle hook: the runtime calls this from worker
      * `tid`'s *own* thread before its first pop — at pool startup,
-     * again for every replacement thread spawned into a healed slot,
+     * again each time a healed slot's thread resumes after its re-arm,
      * and in run() at every run on each worker's thread, the caller's
      * (worker 0) included; run() restores each thread's CPU mask when
      * its worker body ends.
      * Topology-aware designs pin the calling thread to the slot's NUMA
-     * node here, so a replacement worker rejoins its node group. Must
+     * node here, so a healed slot re-pins to its node group. Must
      * be idempotent and safe while other workers run (the default is a
      * no-op; overrides must not touch cross-worker state).
      */
@@ -111,14 +111,14 @@ class Scheduler
      * mask the slot so remote deliveries avoid a wedged/dead worker's
      * queues while its backlog is reclaimed; designs whose queues are
      * globally shared have nothing to mask (the default no-op). The
-     * quarantined worker id itself may keep calling push/tryPop — a
-     * replacement thread reuses the same slot. Safe to call from a
-     * supervisor thread while workers run.
+     * quarantined worker id itself may keep calling push/tryPop — its
+     * thread resumes in the same slot once re-armed. Safe to call from
+     * a monitor thread while workers run.
      */
     virtual void quarantine(unsigned tid) { (void)tid; }
 
     /** Supervision hook: lift a quarantine() so worker `tid` receives
-     *  remote work again (replacement worker is live). */
+     *  remote work again (the slot's thread is re-armed). */
     virtual void reinstate(unsigned tid) { (void)tid; }
 
     /**

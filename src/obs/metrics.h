@@ -160,7 +160,7 @@ enum class WorkerCounter : unsigned {
     PoolRecycled,       ///< bag envelopes served from the pool free list
     TaskRetries,        ///< service tasks re-pushed after a transient failure
     DrainedTasks,       ///< tasks discarded for a cancelled/failed/expired job
-    WorkerRestarts,     ///< replacement workers spawned into a freed slot
+    WorkerRestarts,     ///< heals that re-armed the slot
     HealthTransitions,  ///< supervisor health-FSM state changes
     PoisonedTasks,      ///< tasks diverted to a job's dead-letter queue
     CrossNodeEnqueues,  ///< remote sends routed across NUMA node bounds

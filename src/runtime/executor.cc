@@ -22,17 +22,13 @@
 #include "support/compiler.h"
 #include "support/fault.h"
 #include "support/logging.h"
-#include "support/straggler.h"
 #include "support/timer.h"
 
 namespace hdcps {
 
 namespace {
 
-/** Shared state visible to all workers of one run. The distributed
- *  termination counters and the failure latch are the shared
- *  runtime/worker_common.h machinery — the ExecutorService keeps the
- *  same two per *job*. */
+/** Shared state visible to all workers of one run. */
 struct RunState
 {
     Scheduler *sched = nullptr;
@@ -41,10 +37,7 @@ struct RunState
     TerminationCounters term;
     DriftTracker drift;
     DriftSeries series; ///< touched by worker 0 only
-
-    /** Failure latch: stop tells workers to drain out; the first
-     *  error wins (see FailureLatch). */
-    FailureLatch latch;
+    FailureLatch latch; ///< the run's stop flag and first error
     /** The health FSM over this run's workers, when reclamation is
      *  armed (RunOptions::reclaimAfterMs); null otherwise. */
     std::unique_ptr<WorkerSupervisor> supervisor;
@@ -58,7 +51,6 @@ struct RunState
      *  the stall diagnostic name *which* worker went quiet and for how
      *  long, not just who popped least overall. */
     std::vector<Padded<std::atomic<uint64_t>>> lastPopNs;
-    uint64_t startNs = 0;
 
     /** RunResult::perWorker; worker `tid` writes only its own entry. */
     Breakdown *perWorker = nullptr;
@@ -123,254 +115,196 @@ stallDiagnostic(const RunState &state)
 }
 
 /**
- * Act on the health FSM's decisions for every worker. A wedged worker
- * is quarantined and its queues reclaimed into its peers. Once it has
- * latched its exit at a loop top (awaitRearm), it is reclaimed again,
- * its slot re-armed and its quarantine lifted, and the same thread
- * carries on. Escalate cannot come: run()'s budget is unbounded.
+ * run()'s policy for the shared worker loop (runWorker): process the
+ * task, count its children created before pushing them, opt-in
+ * Breakdown timing and the Eq. 1 publish. The loop ends at quiescence
+ * or on the run's stop.
  */
-void
-superviseWorkers(RunState &state)
+class RunWorker
 {
-    WorkerSupervisor &supervisor = *state.supervisor;
-    for (unsigned tid = 0; tid < state.options.numThreads; ++tid) {
-        switch (supervisor.poll(tid, nowNs())) {
-          case WorkerSupervisor::Decision::Quarantine:
-            quarantineAndReclaim(*state.sched, tid, state.options.metrics);
-            break;
-          case WorkerSupervisor::Decision::Restart:
-            quarantineAndReclaim(*state.sched, tid, state.options.metrics);
-            supervisor.noteRestarted(tid, nowNs());
-            state.sched->reinstate(tid);
-            break;
-          default:
-            break;
-        }
+  public:
+    RunWorker(RunState &state, unsigned tid)
+        : state_(state), tid_(tid), breakdown_(state.perWorker[tid]),
+          timed_(state.options.recordBreakdown)
+    {
+        children_.reserve(64);
     }
-}
 
-/**
- * The run's one monitor thread, started when the watchdog or
- * reclamation is armed. It sleeps on `cv` for one probe interval (the
- * supervisor's, or the watchdog window when only the watchdog is
- * armed), drives the health FSM, and once per watchdog window checks
- * global progress: pending work with an unchanged global pop count
- * fails the run. The cv (rather than a plain sleep) lets run() retire
- * the monitor immediately once the workers are done.
- */
-void
-monitorLoop(RunState &state, std::mutex &mutex,
-            std::condition_variable &cv, const bool &done)
-{
-    const uint64_t windowNs = state.options.watchdogMs * 1000000;
-    const auto tick = std::chrono::milliseconds(
-        state.supervisor ? state.supervisor->policy().probeIntervalMs
-                         : state.options.watchdogMs);
-    uint64_t lastPops = totalPops(state);
-    uint64_t windowStartNs = nowNs();
-    std::unique_lock<std::mutex> lock(mutex);
-    while (!done) {
-        if (cv.wait_for(lock, tick, [&done] { return done; }))
-            return;
-        if (state.latch.stopRequested())
-            return;
-        if (state.supervisor)
-            superviseWorkers(state);
-        if (windowNs == 0 || nowNs() - windowStartNs < windowNs)
-            continue;
-        uint64_t pops = totalPops(state);
-        bool stalled = pops == lastPops && state.term.pendingApprox() > 0;
-        if (stalled) {
-            state.latch.fail(stallDiagnostic(state));
-            return;
-        }
-        lastPops = pops;
-        windowStartNs = nowNs();
-    }
-}
+    Scheduler &sched() { return *state_.sched; }
+    WorkerSupervisor *supervisor() { return state_.supervisor.get(); }
+    bool stopRequested() const { return state_.latch.stopRequested(); }
+    void beforeBlock() {}
 
-/**
- * A superseded run() worker stays in the run: run() has no thread to
- * respawn, and designs like RELD keep per-worker queues that no
- * reclaimWorker drains. So the worker latches its exit, holding no
- * task, and waits until the monitor has reclaimed its queues again and
- * re-armed the slot; then it carries on as the slot's next
- * incarnation. Returns false when the run stopped first.
- */
-bool
-awaitRearm(RunState &state, unsigned tid, uint64_t &epoch)
-{
-    WorkerSupervisor &supervisor = *state.supervisor;
-    const uint64_t superseding = supervisor.epochOf(tid);
-    supervisor.noteExit(tid, false);
-    while ((epoch = supervisor.epochOf(tid)) == superseding) {
-        if (state.latch.stopRequested())
+    /** The pop's start time when timing, else 0. */
+    uint64_t beforePop() { return timed_ ? nowNs() : 0; }
+
+    bool
+    onEmpty(uint64_t t0, IdleBackoff &backoff)
+    {
+        if (timed_)
+            breakdown_[Component::Comm] += nowNs() - t0;
+        if (state_.term.quiescent())
             return false;
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        backoff.idle();
+        return true;
     }
-    return true;
-}
 
-void
-workerLoop(RunState &state, unsigned tid, Breakdown &breakdown)
-{
-    Scheduler &sched = *state.sched;
-    const ProcessFn &process = *state.process;
-    const bool timed = state.options.recordBreakdown;
-    MetricsRegistry *metrics = state.options.metrics;
-    std::vector<Task> children;
-    children.reserve(64);
-    IdleBackoff backoff;
-    uint64_t popsSinceSample = 0;
-    WorkerSupervisor *supervisor = state.supervisor.get();
-    uint64_t epoch = supervisor ? supervisor->epochOf(tid) : 0;
-
-    while (true) {
-        // Drain out as soon as any worker (or the watchdog) failed the
-        // run — checked every iteration, so an idling worker reacts
-        // within one backoff round rather than spinning until its own
-        // pending==0 view changes.
-        if (state.latch.stopRequested())
-            break;
-
-        // Loop top, holding no task: publish liveness, and sit out a
-        // supersession until the monitor re-arms this slot.
-        if (supervisor) {
-            supervisor->beat(tid, nowNs());
-            if (supervisor->superseded(tid, epoch) &&
-                !awaitRearm(state, tid, epoch))
-                break;
-        }
-
-        // Straggler drill: with an injector installed, this worker may
-        // cooperatively sleep here — the only blocking point in the
-        // loop, placed before the pop so a paused worker looks exactly
-        // like a descheduled one (stale heartbeat, stranded queues).
-        stragglerPausePoint(tid);
-
-        uint64_t t0 = timed ? nowNs() : 0;
-        Task task;
-        // Fault drill: the pop itself misfires. The task stays queued,
-        // so the worker simply takes one idle round.
-        bool got = !faultFires(faultsite::ExecPopFail) &&
-                   sched.tryPop(tid, task);
-        uint64_t t1 = timed ? nowNs() : 0;
-
-        if (!got) {
-            if (timed)
-                breakdown[Component::Comm] += t1 - t0;
-            if (state.term.quiescent())
-                break;
-            backoff.idle();
-            continue;
-        }
-        backoff.reset();
+    void
+    onTask(const Task &task, uint64_t t0)
+    {
+        const uint64_t t1 = timed_ ? nowNs() : 0;
         // Single writer (this worker): load + store, no RMW.
-        std::atomic<uint64_t> &pops = state.pops[tid].value;
+        std::atomic<uint64_t> &pops = state_.pops[tid_].value;
         pops.store(pops.load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
-        if (state.options.watchdogMs > 0) {
-            state.lastPopNs[tid].value.store(timed ? t1 : nowNs(),
-                                             std::memory_order_relaxed);
+        if (state_.options.watchdogMs > 0) {
+            state_.lastPopNs[tid_].value.store(timed_ ? t1 : nowNs(),
+                                               std::memory_order_relaxed);
         }
 
-        children.clear();
+        children_.clear();
         try {
             // Fault drill: stand-in for a ProcessFn that throws.
             if (faultFires(faultsite::ExecProcessThrow)) {
                 throw FaultInjectedError(
                     "injected ProcessFn failure (exec.process.throw)");
             }
-            process(tid, task, children);
+            (*state_.process)(tid_, task, children_);
         } catch (const std::exception &e) {
-            // The popped task dies here: no children were pushed (the
-            // push happens below), so completing it with no creations
-            // keeps the counters consistent for the drain.
-            state.term.noteCompleted(tid);
-            state.latch.fail("worker " + std::to_string(tid) +
-                             ": ProcessFn threw: " + e.what());
-            break;
+            // The popped task dies here: no children were pushed, so
+            // completing it with no creations keeps the counters
+            // consistent for the drain. The loop top sees the stop.
+            state_.term.noteCompleted(tid_);
+            state_.latch.fail("worker " + std::to_string(tid_) +
+                              ": ProcessFn threw: " + e.what());
+            return;
         } catch (...) {
-            state.term.noteCompleted(tid);
-            state.latch.fail("worker " + std::to_string(tid) +
-                             ": ProcessFn threw a non-std exception");
-            break;
+            state_.term.noteCompleted(tid_);
+            state_.latch.fail("worker " + std::to_string(tid_) +
+                              ": ProcessFn threw a non-std exception");
+            return;
         }
-        uint64_t t2 = timed ? nowNs() : 0;
+        const uint64_t t2 = timed_ ? nowNs() : 0;
 
-        if (!children.empty()) {
+        if (!children_.empty()) {
             // Children enter the created count *before* they become
             // poppable, so the counters can never transiently read
             // quiescent while work exists. Own padded slot: no
             // contention no matter how many workers spawn at once.
-            state.term.noteCreated(tid, children.size());
-            sched.pushBatch(tid, children.data(), children.size());
+            state_.term.noteCreated(tid_, children_.size());
+            state_.sched->pushBatch(tid_, children_.data(),
+                                    children_.size());
         }
-        state.term.noteCompleted(tid);
-        uint64_t t3 = timed ? nowNs() : 0;
+        state_.term.noteCompleted(tid_);
 
-        if (timed) {
-            breakdown[Component::Dequeue] += t1 - t0;
-            breakdown[Component::Compute] += t2 - t1;
-            breakdown[Component::Enqueue] += t3 - t2;
+        if (timed_) {
+            const uint64_t t3 = nowNs();
+            breakdown_[Component::Dequeue] += t1 - t0;
+            breakdown_[Component::Compute] += t2 - t1;
+            breakdown_[Component::Enqueue] += t3 - t2;
         }
-        ++breakdown.tasksProcessed;
-        if (children.empty())
-            ++breakdown.emptyTasks;
+        ++breakdown_.tasksProcessed;
+        if (children_.empty())
+            ++breakdown_.emptyTasks;
 
         // Design-independent drift reporting (Eq. 1): publish every
         // pop, sample on worker 0's interval.
-        state.drift.publish(tid, task.priority);
-        if (++popsSinceSample >= state.options.driftSampleInterval) {
-            popsSinceSample = 0;
-            if (tid == 0) {
-                double drift = state.drift.computeDrift();
-                state.series.record(drift);
-                if (metrics) {
-                    metrics->recordGlobal(GlobalSeries::Drift, drift);
-                    metrics->set(
-                        0, WorkerGauge::PendingTasks,
-                        static_cast<double>(state.term.pendingApprox()));
-                }
-            }
-            if (metrics && timed) {
-                // Cumulative per-phase breakdown as a series: the
-                // deltas between samples localize where time went
-                // within the run, which the end-of-run totals cannot.
-                metrics->record(
-                    tid, WorkerSeries::EnqueueNs,
-                    static_cast<double>(breakdown[Component::Enqueue]));
-                metrics->record(
-                    tid, WorkerSeries::DequeueNs,
-                    static_cast<double>(breakdown[Component::Dequeue]));
-                metrics->record(
-                    tid, WorkerSeries::ComputeNs,
-                    static_cast<double>(breakdown[Component::Compute]));
-                metrics->record(
-                    tid, WorkerSeries::CommNs,
-                    static_cast<double>(breakdown[Component::Comm]));
-            }
+        state_.drift.publish(tid_, task.priority);
+        if (++popsSinceSample_ >= state_.options.driftSampleInterval) {
+            popsSinceSample_ = 0;
+            sample();
         }
     }
 
-    if (metrics) {
-        // Per-worker totals land once, at loop exit — the hot path
-        // itself stays metrics-free.
-        metrics->add(tid, WorkerCounter::TasksProcessed,
-                     breakdown.tasksProcessed);
-        metrics->add(tid, WorkerCounter::EmptyTasks,
-                     breakdown.emptyTasks);
+  private:
+    void
+    sample()
+    {
+        MetricsRegistry *metrics = state_.options.metrics;
+        if (tid_ == 0) {
+            double drift = state_.drift.computeDrift();
+            state_.series.record(drift);
+            if (metrics) {
+                metrics->recordGlobal(GlobalSeries::Drift, drift);
+                metrics->set(
+                    0, WorkerGauge::PendingTasks,
+                    static_cast<double>(state_.term.pendingApprox()));
+            }
+        }
+        if (metrics && timed_) {
+            // Cumulative per-phase breakdown as a series: the deltas
+            // between samples localize where time went within the
+            // run, which the end-of-run totals cannot.
+            static constexpr std::pair<WorkerSeries, Component> phases[] = {
+                {WorkerSeries::EnqueueNs, Component::Enqueue},
+                {WorkerSeries::DequeueNs, Component::Dequeue},
+                {WorkerSeries::ComputeNs, Component::Compute},
+                {WorkerSeries::CommNs, Component::Comm},
+            };
+            for (const auto &[series, phase] : phases)
+                metrics->record(tid_, series, double(breakdown_[phase]));
+        }
     }
-}
+
+    RunState &state_;
+    const unsigned tid_;
+    Breakdown &breakdown_; ///< RunResult::perWorker[tid_]
+    const bool timed_;
+    std::vector<Task> children_;
+    uint64_t popsSinceSample_ = 0;
+};
 
 /**
- * One worker's whole stay in a run, on whichever thread runs it. The
- * thread leaves with the CPU mask it came in with: a topology-aware
- * design pins in onWorkerStart, and neither the caller nor a resident
- * helper may carry one run's pinning into the next. noexcept: an
- * escaping exception must not unwind the caller past a RunState that
- * helpers still use, so it terminates, as it always did on a worker
- * thread.
+ * run()'s policy for the shared monitor (Escalate cannot come: the
+ * restart budget is unbounded). The tick hook is the watchdog's
+ * verdict: pending work but no pop for a whole window fails the run.
+ */
+class RunMonitor
+{
+  public:
+    explicit RunMonitor(RunState &state)
+        : state_(state), lastPops_(totalPops(state)),
+          windowStartNs_(nowNs())
+    {}
+
+    Scheduler &sched() { return *state_.sched; }
+    WorkerSupervisor *supervisor() { return state_.supervisor.get(); }
+    MetricsRegistry *metrics() { return state_.options.metrics; }
+    void onReclaimed() {}
+    void onEscalate(unsigned) {}
+
+    bool
+    onTick(uint64_t now)
+    {
+        if (state_.latch.stopRequested())
+            return false;
+        const uint64_t windowNs = state_.options.watchdogMs * 1000000;
+        if (windowNs == 0 || now - windowStartNs_ < windowNs)
+            return true;
+        const uint64_t pops = totalPops(state_);
+        if (pops == lastPops_ && state_.term.pendingApprox() > 0) {
+            state_.latch.fail(stallDiagnostic(state_));
+            return false;
+        }
+        lastPops_ = pops;
+        windowStartNs_ = now;
+        return true;
+    }
+
+  private:
+    RunState &state_;
+    uint64_t lastPops_;
+    uint64_t windowStartNs_;
+};
+
+/**
+ * One worker's whole stay in a run, on whichever thread runs it: the
+ * shared slot entry (runSlot) with run()'s policy. The thread leaves
+ * with the CPU mask it came in with: a topology-aware design pins in
+ * onWorkerStart, and neither the caller nor a resident helper may
+ * carry one run's pinning into the next. noexcept: an escaping
+ * exception must not unwind the caller past a RunState that helpers
+ * still use, so it terminates, as it always did on a worker thread.
  */
 void
 workerBody(RunState &state, unsigned tid) noexcept
@@ -381,10 +315,8 @@ workerBody(RunState &state, unsigned tid) noexcept
                                               sizeof(entryMask),
                                               &entryMask) == 0;
 #endif
-    // Lifecycle hook from the worker's own thread before its first pop
-    // (topology-aware designs pin here).
-    state.sched->onWorkerStart(tid);
-    workerLoop(state, tid, state.perWorker[tid]);
+    RunWorker worker(state, tid);
+    runSlot(worker, tid);
 #ifdef __linux__
     cpu_set_t exitMask;
     if (saved &&
@@ -522,22 +454,10 @@ RunResult
 run(Scheduler &sched, const std::vector<Task> &initial,
     const ProcessFn &process, const RunOptions &options)
 {
-    hdcps_check(options.numThreads >= 1, "need at least one thread");
-    hdcps_check(options.numThreads == sched.numWorkers(),
-                "thread count (%u) != scheduler workers (%u)",
-                options.numThreads, sched.numWorkers());
+    bindScheduler(sched, options.numThreads, options.metrics,
+                  options.reclaimAfterMs);
     hdcps_check(options.driftSampleInterval >= 1,
                 "drift sample interval must be >= 1");
-    if (options.metrics) {
-        hdcps_check(options.metrics->numWorkers() >= options.numThreads,
-                    "metrics registry has %u workers, need %u",
-                    options.metrics->numWorkers(), options.numThreads);
-        sched.attachMetrics(options.metrics);
-    }
-    // Unconditional: RunOptions is authoritative, so a scheduler reused
-    // across runs cannot carry an armed guard into a run that wants the
-    // default (off).
-    sched.setReclaimAfterMs(options.reclaimAfterMs);
 
     RunState state(options.numThreads);
     state.sched = &sched;
@@ -546,13 +466,12 @@ run(Scheduler &sched, const std::vector<Task> &initial,
     // Seeds count as created by worker 0 (single-threaded phase; the
     // helper hand-off below publishes the stores to every worker).
     state.term.seedCreated(0, initial.size());
-    state.startNs = nowNs();
+    const uint64_t startNs = nowNs();
     for (auto &slot : state.lastPopNs)
-        slot.value.store(state.startNs, std::memory_order_relaxed);
+        slot.value.store(startNs, std::memory_order_relaxed);
     if (options.reclaimAfterMs > 0) {
         // Wedged after R ms without a loop-top beat. The restart budget
-        // is unbounded: a run() heal respawns no thread, and no budget
-        // may fail a run that would complete.
+        // is unbounded: no budget may fail a run that would complete.
         const uint64_t r = options.reclaimAfterMs;
         SupervisorPolicy policy;
         policy.enabled = true;
@@ -563,10 +482,6 @@ run(Scheduler &sched, const std::vector<Task> &initial,
         policy.restartWindowMs = r;
         state.supervisor =
             std::make_unique<WorkerSupervisor>(options.numThreads, policy);
-        // Every heartbeat starts fresh, so a slow helper start-up
-        // cannot read as a wedge.
-        for (unsigned tid = 0; tid < options.numThreads; ++tid)
-            state.supervisor->beat(tid, state.startNs);
     }
 
     // Seed tasks in 16-task chunks interleaved across workers before
@@ -584,22 +499,21 @@ run(Scheduler &sched, const std::vector<Task> &initial,
     result.perWorker.assign(options.numThreads, Breakdown{});
     state.perWorker = result.perWorker.data();
 
-    // The monitor rides alongside the workers; `done` + cv retire it
-    // the moment they all exit, failed run or not.
-    std::mutex monitorMutex;
-    std::condition_variable monitorCv;
-    bool monitorDone = false;
-    std::thread monitor;
+    // The monitor rides alongside the workers and is retired the
+    // moment they all exit, failed run or not. It ticks once per probe
+    // interval, or once per watchdog window when only that is armed.
+    Monitor monitor;
     if (options.watchdogMs > 0 || state.supervisor) {
-        monitor = std::thread([&] {
-            monitorLoop(state, monitorMutex, monitorCv, monitorDone);
-        });
+        monitor.start(RunMonitor(state),
+                      state.supervisor
+                          ? state.supervisor->policy().probeIntervalMs
+                          : options.watchdogMs);
     }
 
     // The caller is worker 0; resident helpers run the rest. run()
     // returns only after every helper has left its worker body, since
     // `state` lives on this stack.
-    uint64_t startNs = nowNs();
+    const uint64_t wallStartNs = nowNs();
     state.helpersLeft.store(options.numThreads - 1,
                             std::memory_order_relaxed);
     helperPool().dispatch(state);
@@ -607,16 +521,9 @@ run(Scheduler &sched, const std::vector<Task> &initial,
     IdleBackoff backoff;
     while (state.helpersLeft.load(std::memory_order_acquire) != 0)
         backoff.idle();
-    result.wallNs = nowNs() - startNs;
+    result.wallNs = nowNs() - wallStartNs;
 
-    if (monitor.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(monitorMutex);
-            monitorDone = true;
-        }
-        monitorCv.notify_all();
-        monitor.join();
-    }
+    monitor.stop();
     // A failed run can end with a worker still quarantined; a reused
     // scheduler must not carry that into its next run.
     if (state.supervisor) {
@@ -632,8 +539,18 @@ run(Scheduler &sched, const std::vector<Task> &initial,
                     "pending count nonzero after termination");
     }
 
-    for (const Breakdown &b : result.perWorker)
+    for (unsigned tid = 0; tid < options.numThreads; ++tid) {
+        const Breakdown &b = result.perWorker[tid];
         result.total += b;
+        if (options.metrics) {
+            // Per-worker totals land once, after every worker and the
+            // monitor are done, so the hot path stays metrics-free.
+            options.metrics->add(tid, WorkerCounter::TasksProcessed,
+                                 b.tasksProcessed);
+            options.metrics->add(tid, WorkerCounter::EmptyTasks,
+                                 b.emptyTasks);
+        }
+    }
     result.avgDrift = state.series.average();
     result.maxDrift = state.series.maxSample();
     result.driftSamples = state.series.samples();

@@ -4,17 +4,17 @@
  * task-processing function on real host threads.
  *
  * Responsibilities:
- *  - run the pop/process/push loop on the calling thread (worker 0)
- *    and on resident helper threads (workers 1..n-1), so no run()
- *    spawns or joins a thread once helpers exist (DESIGN.md §11);
- *  - distributed termination detection: each worker counts tasks it
- *    created and tasks it completed in its own cache-line-padded
+ *  - run the pop/process/push loop — the worker loop the
+ *    ExecutorService shares (runtime/worker_common.h), with run()'s
+ *    policy — on the calling thread (worker 0) and on resident helper
+ *    threads (workers 1..n-1), so no run() spawns or joins a thread
+ *    once helpers exist (DESIGN.md §11);
+ *  - distributed termination detection: per-worker created/completed
  *    counters (a task counts as created before it is poppable and as
- *    completed only after its children were pushed), and an idle
- *    worker declares the run done when a completed-first scan of all
- *    counters balances twice in a row — no global in-flight counter on
- *    the per-task hot path (see quiescentOnce in executor.cc for the
- *    soundness argument, DESIGN.md §11 for the full write-up);
+ *    completed only after its children were pushed) and a
+ *    completed-first quiescence scan by idle workers, with no global
+ *    in-flight counter on the hot path (TerminationCounters in
+ *    worker_common.h; DESIGN.md §11);
  *  - opt-in per-worker completion-time breakdown (enqueue/dequeue/
  *    compute/comm, Section IV-C of the paper);
  *  - design-independent priority-drift reporting (Eq. 1), sampled by
@@ -26,19 +26,15 @@
  *    RunResult, every worker drains out via a stop flag, and every
  *    worker body returns before run() does;
  *  - one opt-in monitor thread, started only when the watchdog or
- *    stall supervision is armed. The watchdog (RunOptions::watchdogMs)
- *    fails a run stuck with in-flight tasks but no pops, attaching a
- *    diagnostic dump (per-worker pop counts *and* last-pop ages)
- *    instead of hanging forever. Stall supervision
- *    (RunOptions::reclaimAfterMs) runs the WorkerSupervisor health FSM
- *    over loop-top heartbeats: a worker stale past the window is
- *    quarantined and its queues reclaimed into its peers
- *    (quarantineAndReclaim, the function the ExecutorService's
- *    supervisor calls too), then it waits at its loop top until the
- *    monitor re-arms its slot, and carries on (DESIGN.md §10);
- *  - straggler hooks: each worker passes a cooperative pause point
- *    (support/straggler.h) every loop iteration so tests can stall
- *    chosen workers deterministically.
+ *    stall supervision is armed: the monitor skeleton the
+ *    ExecutorService runs too, with the watchdog as run()'s tick hook.
+ *    The watchdog (RunOptions::watchdogMs) fails a run stuck with
+ *    in-flight tasks but no pops, with a diagnostic dump (per-worker
+ *    pop counts *and* last-pop ages). Stall supervision
+ *    (RunOptions::reclaimAfterMs) quarantines a worker whose loop-top
+ *    heartbeat went stale and reclaims its queues into its peers; the
+ *    worker parks until the monitor re-arms its slot, then carries on
+ *    (DESIGN.md §10).
  */
 
 #ifndef HDCPS_RUNTIME_EXECUTOR_H_

@@ -7,7 +7,6 @@
 #include "support/fault.h"
 #include "support/logging.h"
 #include "support/rng.h"
-#include "support/straggler.h"
 #include "support/timer.h"
 
 namespace hdcps {
@@ -47,7 +46,7 @@ struct JobRecord
      * Preemption level: popped incarnations whose demote stamp lags
      * this are re-tagged (priority += levels * demotePenalty) and
      * re-pushed instead of processed. Bumped by deprioritize() and the
-     * deadline monitor's demoteAfterMs path; never decremented.
+     * monitor's demoteAfterMs path; never decremented.
      */
     std::atomic<uint32_t> demoteLevel{0};
     std::atomic<RejectReason> rejectReason{RejectReason::None};
@@ -300,30 +299,231 @@ JobHandle::deadLetters() const
 
 // --- ExecutorService ---------------------------------------------------
 
+/**
+ * The job policy of the shared worker loop (runWorker): adopt a queued
+ * job before each pop, find the popped task's record through a
+ * per-worker cache, process it, and pay the deferred quiescence scan
+ * (DESIGN.md §14.6) at the pop that leaves the job and in beforeBlock.
+ * The loop ends once the service is shut down with no active jobs.
+ */
+class ExecutorService::JobWorker
+{
+  public:
+    JobWorker(ExecutorService &svc, unsigned tid) : svc_(svc), tid_(tid)
+    {
+        children_.reserve(64);
+    }
+
+    Scheduler &sched() { return svc_.sched_; }
+    WorkerSupervisor *supervisor() { return svc_.supervisor_.get(); }
+
+    bool
+    stopRequested() const
+    {
+        return svc_.shutdown_.load(std::memory_order_acquire) &&
+               svc_.activeJobs_.load(std::memory_order_acquire) == 0;
+    }
+
+    void
+    beforeBlock()
+    {
+        if (scanOwed_) {
+            scanOwed_ = false;
+            svc_.maybeFinishJob(cached_);
+        }
+    }
+
+    /** True when this worker adopted a queued job. */
+    bool beforePop() { return svc_.adoptOne(tid_); }
+
+    bool
+    onEmpty(bool adopted, IdleBackoff &backoff)
+    {
+        beforeBlock();
+        if (adopted || !backoff.idle())
+            return true;
+        cached_.reset();
+        if (svc_.activeJobs_.load(std::memory_order_acquire) == 0) {
+            // Truly idle service: no admitted jobs at all, so no tasks
+            // can appear except through submit (which notifies).
+            // Sleep briefly instead of spinning.
+            std::unique_lock<std::mutex> lock(svc_.admitMutex_);
+            if (svc_.queuedJobs_.load(std::memory_order_relaxed) == 0 &&
+                !svc_.shutdown_.load(std::memory_order_acquire)) {
+                svc_.work_.wait_for(lock, std::chrono::milliseconds(1));
+            }
+        }
+        return true;
+    }
+
+    void
+    onTask(const Task &task, bool)
+    {
+        if (cached_ == nullptr || cached_->id != task.job) {
+            beforeBlock();
+            cached_ = svc_.findJob(task.job);
+            hdcps_check(cached_ != nullptr,
+                        "popped task for unknown job %u", task.job);
+        }
+        scanOwed_ = svc_.processTask(tid_, cached_, task, children_);
+    }
+
+  private:
+    ExecutorService &svc_;
+    const unsigned tid_;
+    std::vector<Task> children_;
+    /** Job-record cache keyed by Task::job: a hit takes no lock. It is
+     *  always right, as job ids are never reused and a popped task's
+     *  job is live. Dropped when idle, so a finished job's ProcessFn
+     *  captures are not pinned. */
+    RecordPtr cached_;
+    /** A scan of cached_'s job is owed (after a childless completion).
+     *  A pop of the same job's task drops it: that task was in flight,
+     *  so the completion did not end the job. */
+    bool scanOwed_ = false;
+};
+
+/**
+ * The service's policy for the shared monitor, ticking every 1 ms: each
+ * tick fails expired jobs, auto-demotes jobs past demoteAfterMs and,
+ * every ~10 ms, records the tenant series. It runs through the
+ * shutdown drain (a worker dying mid-drain still needs healing) and
+ * retires once every admitted job is terminal.
+ */
+class ExecutorService::JobMonitor
+{
+  public:
+    explicit JobMonitor(ExecutorService &svc) : svc_(svc) {}
+
+    Scheduler &sched() { return svc_.sched_; }
+    WorkerSupervisor *supervisor() { return svc_.supervisor_.get(); }
+    MetricsRegistry *metrics() { return svc_.options_.metrics; }
+    void onReclaimed() { svc_.work_.notify_all(); } // tasks sit with peers
+    void onEscalate(unsigned tid) { svc_.escalateService(tid); }
+
+    bool
+    onTick(uint64_t now)
+    {
+        if (svc_.shutdown_.load(std::memory_order_acquire) &&
+            svc_.activeJobs_.load(std::memory_order_acquire) == 0)
+            return false;
+
+        std::vector<RecordPtr> expired, pressured;
+        {
+            std::shared_lock<std::shared_mutex> lock(svc_.jobsMutex_);
+            for (const auto &[id, record] : svc_.jobs_) {
+                if (jobStateTerminal(record->state.load(
+                        std::memory_order_acquire)) ||
+                    record->latch.stopRequested())
+                    continue;
+                if (record->deadlineNs != 0 && now > record->deadlineNs) {
+                    expired.push_back(record);
+                } else if (record->demoteAfterNs != 0 &&
+                           now > record->demoteAfterNs &&
+                           record->demoteLevel.load(
+                               std::memory_order_relaxed) == 0) {
+                    pressured.push_back(record);
+                }
+            }
+        }
+        for (const RecordPtr &record : expired) {
+            uint64_t budget =
+                (record->deadlineNs - record->submitNs) / 1000000;
+            std::ostringstream msg;
+            msg << "job '" << record->name << "': deadline of " << budget
+                << " ms exceeded";
+            if (svc_.terminateJob(record, JobState::Failed, msg.str(),
+                                  /*widenCancelRace=*/false)) {
+                svc_.deadlineExpired_.fetch_add(1,
+                                                std::memory_order_relaxed);
+            }
+        }
+        // Deadline-pressure auto-demotion: a job past its soft budget
+        // keeps running at lower standing instead of failing. One
+        // level only — the CAS loses to a racing deprioritize(), which
+        // already lowered the job further.
+        for (const RecordPtr &record : pressured) {
+            uint32_t zero = 0;
+            if (record->demoteLevel.compare_exchange_strong(
+                    zero, 1, std::memory_order_acq_rel)) {
+                svc_.autoDemotedJobs_.fetch_add(1,
+                                                std::memory_order_relaxed);
+            }
+        }
+        // Per-tenant share/backlog series, paced to ~10ms. This
+        // monitor is the single writer of these customSeries rings,
+        // satisfying the registry's single-writer contract.
+        if (svc_.options_.metrics && now - lastSeriesNs_ >= 10000000ull) {
+            lastSeriesNs_ = now;
+            recordTenantSeries();
+        }
+        return true;
+    }
+
+  private:
+    /** Per-tenant share of tasks processed since the last sample, and
+     *  backlog, into the tenant<id>.share / .backlog custom series. */
+    void
+    recordTenantSeries()
+    {
+        MetricsRegistry &metrics = *svc_.options_.metrics;
+        struct Row
+        {
+            TenantState *state;
+            uint64_t processed;
+            size_t backlog;
+        };
+        std::vector<Row> rows;
+        {
+            std::lock_guard<std::mutex> lock(svc_.admitMutex_);
+            rows.reserve(svc_.tenants_.size());
+            for (auto &[id, state] : svc_.tenants_) {
+                TenantState &ts = *state;
+                if (ts.shareSeries < 0) {
+                    std::string base = "tenant" + std::to_string(id);
+                    ts.shareSeries = metrics.customSeries(base + ".share");
+                    ts.backlogSeries =
+                        metrics.customSeries(base + ".backlog");
+                }
+                rows.push_back(
+                    {&ts, ts.tasksProcessed(), ts.backlog.size()});
+            }
+        }
+        // Record outside the admission lock: TenantState addresses are
+        // stable, and only this thread touches lastTasksProcessed or
+        // writes these series.
+        uint64_t totalDelta = 0;
+        for (const Row &row : rows)
+            totalDelta += row.processed - row.state->lastTasksProcessed;
+        for (const Row &row : rows) {
+            uint64_t delta = row.processed - row.state->lastTasksProcessed;
+            row.state->lastTasksProcessed = row.processed;
+            if (totalDelta > 0) {
+                metrics.recordCustom(row.state->shareSeries,
+                                     double(delta) / double(totalDelta));
+            }
+            metrics.recordCustom(row.state->backlogSeries,
+                                 double(row.backlog));
+        }
+    }
+
+    ExecutorService &svc_;
+    uint64_t lastSeriesNs_ = 0;
+};
+
+
 ExecutorService::ExecutorService(Scheduler &sched,
                                  const ServiceOptions &options)
     : sched_(sched), options_(options)
 {
-    hdcps_check(options.numThreads >= 1, "need at least one thread");
-    hdcps_check(options.numThreads == sched.numWorkers(),
-                "thread count (%u) != scheduler workers (%u)",
-                options.numThreads, sched.numWorkers());
+    // The monitor may reclaim whenever the supervisor runs, and a
+    // wedged worker may still be inside a task, so the guard is on.
+    bindScheduler(sched, options.numThreads, options.metrics,
+                  options.supervisor.enabled
+                      ? std::max<uint64_t>(options.supervisor.wedgedAfterMs, 1)
+                      : 0);
     hdcps_check(options.admissionCapacity >= 1,
                 "admission capacity must be >= 1");
-    if (options.metrics) {
-        hdcps_check(options.metrics->numWorkers() >= options.numThreads,
-                    "metrics registry has %u workers, need %u",
-                    options.metrics->numWorkers(), options.numThreads);
-        sched.attachMetrics(options.metrics);
-    }
-    // One guard rule: the owner-side guard is on whenever a monitor may
-    // reclaim, which here means whenever the supervisor runs. A wedged
-    // worker may still be inside a task, and its next push must not
-    // race the drain.
-    sched.setReclaimAfterMs(
-        options.supervisor.enabled
-            ? std::max<uint64_t>(options.supervisor.wedgedAfterMs, 1)
-            : 0);
 
     // Materialize configured tenants up front so quotas and weights
     // apply from the very first submit; tenants first seen at submit
@@ -343,19 +543,18 @@ ExecutorService::ExecutorService(Scheduler &sched,
     if (options_.supervisor.enabled) {
         supervisor_ = std::make_unique<WorkerSupervisor>(
             options_.numThreads, options_.supervisor);
-        // Arm every slot's heartbeat before the threads exist so a
-        // slow spawn can't read as a wedge.
-        uint64_t now = nowNs();
-        for (unsigned tid = 0; tid < options_.numThreads; ++tid)
-            supervisor_->beat(tid, now);
     }
 
     workers_.reserve(options.numThreads);
-    for (unsigned tid = 0; tid < options.numThreads; ++tid)
-        workers_.emplace_back([this, tid] { workerEntry(tid); });
-    deadlineMonitor_ = std::thread([this] { deadlineLoop(); });
-    if (supervisor_)
-        supervisorThread_ = std::thread([this] { supervisorLoop(); });
+    for (unsigned tid = 0; tid < options.numThreads; ++tid) {
+        workers_.emplace_back([this, tid] {
+            JobWorker worker(*this, tid);
+            runSlot(worker, tid);
+        });
+    }
+    // One monitor at the deadline cadence (1 ms); it polls the FSM
+    // every SupervisorPolicy::probeIntervalMs.
+    monitor_.start(JobMonitor(*this), 1);
 }
 
 ExecutorService::~ExecutorService()
@@ -625,7 +824,7 @@ ExecutorService::adoptOne(unsigned tid)
 {
     // Every worker calls this once per loop iteration, so the common
     // empty case must not touch admitMutex_. A stale 0 only delays
-    // adoption by one iteration: the idle sleep in workerLoop re-checks
+    // adoption by one iteration: JobWorker's idle sleep re-checks
     // queuedJobs_ under the lock, so no submit's wake-up is lost.
     if (queuedJobs_.load(std::memory_order_relaxed) == 0)
         return false;
@@ -915,8 +1114,8 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
     if (options_.metrics)
         options_.metrics->add(tid, WorkerCounter::TasksProcessed);
     if (children.empty()) {
-        // The scan is owed, not run: workerLoop pays it at the pop
-        // that leaves this job.
+        // The scan is owed, not run: JobWorker pays it at the pop that
+        // leaves this job.
         noteTaskCompleted(*record, tid, /*processed=*/true);
         return true;
     }
@@ -926,143 +1125,6 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
     noteTaskCompleted(*record, tid, /*processed=*/true);
     sched_.pushBatch(tid, children.data(), children.size());
     return false;
-}
-
-void
-ExecutorService::workerEntry(unsigned tid)
-{
-    // Every thread that enters the slot — the pool's original worker
-    // and each healed replacement — announces itself to the scheduler
-    // first, so topology-aware designs pin it to the slot's node before
-    // its first pop.
-    sched_.onWorkerStart(tid);
-    const uint64_t epoch = supervisor_ ? supervisor_->epochOf(tid) : 0;
-    bool crashed = false;
-    try {
-        workerLoop(tid, epoch);
-    } catch (...) {
-        // Anything escaping the worker loop — the crash drill or a
-        // genuine bug — is a worker death, not process death: latch it
-        // so the supervisor heals the slot instead of the pool
-        // silently shrinking.
-        crashed = true;
-    }
-    if (supervisor_)
-        supervisor_->noteExit(tid, crashed);
-}
-
-void
-ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
-{
-    std::vector<Task> children;
-    children.reserve(64);
-    IdleBackoff backoff;
-    // Per-worker job-record cache, keyed by Task::job. A hit takes no
-    // lock and copies no shared_ptr. It is always the right record:
-    // job ids are never reused, and a popped task's job is live
-    // (records leave jobs_ only once quiescent, and a task in the
-    // scheduler is created-but-not-completed). Dropped when the worker
-    // goes idle so a finished job's ProcessFn captures are not pinned.
-    RecordPtr cached;
-    // Deferred quiescence scan of cached's job (DESIGN.md §14.6): owed
-    // after a childless completion, paid at the next pop that comes
-    // back empty or with another job's task, and before the worker
-    // can block or leave. A pop of the same job's task drops it: that
-    // task was in flight, so the completion did not end the job.
-    bool scanOwed = false;
-    auto payScan = [&] {
-        if (scanOwed) {
-            scanOwed = false;
-            maybeFinishJob(cached);
-        }
-    };
-
-    while (true) {
-        if (supervisor_) {
-            supervisor_->beat(tid, nowNs());
-            // Superseded: the supervisor declared this incarnation
-            // wedged and bumped the slot epoch. Exit cooperatively —
-            // holding no task, loop-top — so the replacement can take
-            // over; the supervisor reclaims anything this thread
-            // pushed since the reclamation pass.
-            if (supervisor_->superseded(tid, epoch)) {
-                payScan();
-                return;
-            }
-            // Crash drill: die as if a bug killed this worker. The
-            // throw escapes to workerEntry, which latches the exit.
-            if (faultFires(faultsite::SvcWorkerDie)) {
-                payScan();
-                throw FaultInjectedError(
-                    "injected worker death (svc.worker.die)");
-            }
-            // Wedge drill: stall here, heartbeat stale, holding no
-            // task — the supervisor walks Suspect -> Wedged and
-            // supersedes us, caught by the re-check below. A
-            // Delay-armed site chooses its own stall; other modes
-            // (once/nth/prob) stall 3x the wedged threshold so the
-            // detection provably trips.
-            if (faultFires(faultsite::SvcWorkerWedge)) {
-                payScan();
-                uint64_t ns = faultAmount(faultsite::SvcWorkerWedge);
-                if (ns == 0) {
-                    ns = options_.supervisor.wedgedAfterMs * 3 *
-                         1000000ull;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::nanoseconds(ns));
-            }
-            if (supervisor_->superseded(tid, epoch))
-                return;
-        }
-
-        // Straggler drill: same cooperative pause point as the
-        // one-shot executor, so soak/chaos scenarios translate. With
-        // an injector installed the point may sleep, so pay first.
-        if (StragglerInjector::active() != nullptr)
-            payScan();
-        stragglerPausePoint(tid);
-
-        bool adopted = adoptOne(tid);
-
-        Task task;
-        // Fault drill: spurious pop failure; the task stays queued.
-        bool got = !faultFires(faultsite::ExecPopFail) &&
-                   sched_.tryPop(tid, task);
-        if (!got) {
-            payScan();
-            if (adopted)
-                continue;
-            if (shutdown_.load(std::memory_order_acquire) &&
-                activeJobs_.load(std::memory_order_acquire) == 0)
-                break;
-            if (backoff.idle()) {
-                cached.reset();
-                if (activeJobs_.load(std::memory_order_acquire) == 0) {
-                    // Truly idle service: no admitted jobs at all, so
-                    // no tasks can appear except through submit (which
-                    // notifies). Sleep briefly instead of spinning.
-                    std::unique_lock<std::mutex> lock(admitMutex_);
-                    if (queuedJobs_.load(std::memory_order_relaxed) ==
-                            0 &&
-                        !shutdown_.load(std::memory_order_acquire)) {
-                        work_.wait_for(lock,
-                                       std::chrono::milliseconds(1));
-                    }
-                }
-            }
-            continue;
-        }
-        backoff.reset();
-
-        if (cached == nullptr || cached->id != task.job) {
-            payScan();
-            cached = findJob(task.job);
-            hdcps_check(cached != nullptr,
-                        "popped task for unknown job %u", task.job);
-        }
-        scanOwed = processTask(tid, cached, task, children);
-    }
 }
 
 bool
@@ -1204,194 +1266,6 @@ ExecutorService::finishRecord(Record &record, JobState terminal)
     activeJobs_.fetch_sub(1, std::memory_order_acq_rel);
     record.waitCv.notify_all();
     work_.notify_all(); // shutdown exit condition may hold now
-    deadlineCv_.notify_all();
-}
-
-void
-ExecutorService::deadlineLoop()
-{
-    std::vector<RecordPtr> expired;
-    std::vector<RecordPtr> pressured;
-    uint64_t lastSeriesNs = 0;
-    while (true) {
-        {
-            std::unique_lock<std::mutex> lock(deadlineMutex_);
-            deadlineCv_.wait_for(
-                lock, std::chrono::milliseconds(1), [this] {
-                    return shutdown_.load(std::memory_order_acquire) &&
-                           activeJobs_.load(
-                               std::memory_order_acquire) == 0;
-                });
-        }
-        if (shutdown_.load(std::memory_order_acquire) &&
-            activeJobs_.load(std::memory_order_acquire) == 0)
-            return;
-
-        expired.clear();
-        pressured.clear();
-        uint64_t now = nowNs();
-        {
-            std::shared_lock<std::shared_mutex> lock(jobsMutex_);
-            for (const auto &[id, record] : jobs_) {
-                if (jobStateTerminal(record->state.load(
-                        std::memory_order_acquire)) ||
-                    record->latch.stopRequested())
-                    continue;
-                if (record->deadlineNs != 0 &&
-                    now > record->deadlineNs) {
-                    expired.push_back(record);
-                } else if (record->demoteAfterNs != 0 &&
-                           now > record->demoteAfterNs &&
-                           record->demoteLevel.load(
-                               std::memory_order_relaxed) == 0) {
-                    pressured.push_back(record);
-                }
-            }
-        }
-        for (const RecordPtr &record : expired) {
-            uint64_t budget =
-                (record->deadlineNs - record->submitNs) / 1000000;
-            std::ostringstream msg;
-            msg << "job '" << record->name << "': deadline of "
-                << budget << " ms exceeded";
-            if (terminateJob(record, JobState::Failed, msg.str(),
-                             /*widenCancelRace=*/false)) {
-                deadlineExpired_.fetch_add(1,
-                                           std::memory_order_relaxed);
-            }
-        }
-        // Deadline-pressure auto-demotion: a job past its soft budget
-        // keeps running at lower standing instead of failing. One
-        // level only — the CAS loses to a racing deprioritize(), which
-        // already lowered the job further.
-        for (const RecordPtr &record : pressured) {
-            uint32_t zero = 0;
-            if (record->demoteLevel.compare_exchange_strong(
-                    zero, 1, std::memory_order_acq_rel)) {
-                autoDemotedJobs_.fetch_add(1,
-                                           std::memory_order_relaxed);
-            }
-        }
-        // Per-tenant share/backlog series, paced to ~10ms. The
-        // deadline monitor is the single writer of these customSeries
-        // rings, satisfying the registry's single-writer contract.
-        if (options_.metrics && now - lastSeriesNs >= 10000000ull) {
-            lastSeriesNs = now;
-            recordTenantSeries();
-        }
-    }
-}
-
-void
-ExecutorService::recordTenantSeries()
-{
-    struct Row
-    {
-        TenantState *state;
-        uint64_t processed;
-        size_t backlog;
-    };
-    std::vector<Row> rows;
-    {
-        std::lock_guard<std::mutex> lock(admitMutex_);
-        rows.reserve(tenants_.size());
-        for (auto &[id, state] : tenants_) {
-            TenantState &ts = *state;
-            if (ts.shareSeries < 0) {
-                std::string base = "tenant" + std::to_string(id);
-                ts.shareSeries =
-                    options_.metrics->customSeries(base + ".share");
-                ts.backlogSeries =
-                    options_.metrics->customSeries(base + ".backlog");
-            }
-            rows.push_back({&ts, ts.tasksProcessed(), ts.backlog.size()});
-        }
-    }
-    // Record outside the admission lock: TenantState addresses are
-    // stable, and only this thread touches lastTasksProcessed or
-    // writes these series.
-    uint64_t totalDelta = 0;
-    for (const Row &row : rows)
-        totalDelta += row.processed - row.state->lastTasksProcessed;
-    for (const Row &row : rows) {
-        uint64_t delta = row.processed - row.state->lastTasksProcessed;
-        row.state->lastTasksProcessed = row.processed;
-        if (totalDelta > 0) {
-            options_.metrics->recordCustom(
-                row.state->shareSeries,
-                double(delta) / double(totalDelta));
-        }
-        options_.metrics->recordCustom(row.state->backlogSeries,
-                                       double(row.backlog));
-    }
-}
-
-void
-ExecutorService::supervisorLoop()
-{
-    const auto interval = std::chrono::milliseconds(
-        std::max<uint64_t>(options_.supervisor.probeIntervalMs, 1));
-    while (true) {
-        {
-            std::unique_lock<std::mutex> lock(supervisorMutex_);
-            supervisorCv_.wait_for(lock, interval, [this] {
-                return shutdown_.load(std::memory_order_acquire) &&
-                       activeJobs_.load(std::memory_order_acquire) ==
-                           0;
-            });
-        }
-        // Supervise *through* the shutdown drain — a worker that dies
-        // mid-drain still needs healing or its jobs never quiesce —
-        // and exit only once every admitted job is terminal.
-        if (shutdown_.load(std::memory_order_acquire) &&
-            activeJobs_.load(std::memory_order_acquire) == 0)
-            return;
-        for (unsigned tid = 0; tid < options_.numThreads; ++tid) {
-            switch (supervisor_->poll(tid, nowNs())) {
-              case WorkerSupervisor::Decision::Quarantine:
-                quarantineAndReclaim(sched_, tid, options_.metrics);
-                work_.notify_all(); // reclaimed tasks sit with peers
-                break;
-              case WorkerSupervisor::Decision::Restart:
-                healWorker(tid);
-                break;
-              case WorkerSupervisor::Decision::Escalate:
-                escalateService(tid);
-                break;
-              case WorkerSupervisor::Decision::None:
-                break;
-            }
-        }
-    }
-}
-
-void
-ExecutorService::healWorker(unsigned tid)
-{
-    // The dead incarnation latched its exit, so this join is prompt;
-    // after it the slot has exactly zero driver threads.
-    if (workers_[tid].joinable())
-        workers_[tid].join();
-    // Reclaim *after* the join: a superseded zombie may have pushed
-    // tasks between the wedge-time reclamation and its exit, and a
-    // crash-path death was never reclaimed at all. Both ways, nothing
-    // strands in a slot nobody drives. (Quarantining twice is
-    // harmless.)
-    quarantineAndReclaim(sched_, tid, options_.metrics);
-    work_.notify_all();
-    supervisor_->noteRestarted(tid, nowNs());
-    if (options_.metrics) {
-        // Post-join, pre-spawn: nothing else drives slot tid's metric
-        // row, so these writes satisfy the single-writer check.
-        options_.metrics->add(tid, WorkerCounter::WorkerRestarts);
-        uint64_t flips = supervisor_->drainTransitions(tid);
-        if (flips > 0) {
-            options_.metrics->add(
-                tid, WorkerCounter::HealthTransitions, flips);
-        }
-    }
-    workers_[tid] = std::thread([this, tid] { workerEntry(tid); });
-    sched_.reinstate(tid);
 }
 
 void
@@ -1399,22 +1273,19 @@ ExecutorService::escalateService(unsigned tid)
 {
     // First escalation fails the tenants; every escalated slot (more
     // workers may die afterwards with the budget already spent) is
-    // individually joined, reclaimed, retired, and drained.
+    // individually reclaimed, retired, and drained. Its thread latched
+    // its exit before the FSM could decide, so it touches neither the
+    // scheduler nor its metric row again.
     const bool first =
         !escalated_.exchange(true, std::memory_order_acq_rel);
     admitSpace_.notify_all(); // blocked submitters re-check and reject
 
-    if (workers_[tid].joinable())
-        workers_[tid].join();
     quarantineAndReclaim(sched_, tid, options_.metrics);
     work_.notify_all();
     supervisor_->retire(tid);
     if (options_.metrics) {
-        uint64_t flips = supervisor_->drainTransitions(tid);
-        if (flips > 0) {
-            options_.metrics->add(
-                tid, WorkerCounter::HealthTransitions, flips);
-        }
+        options_.metrics->add(tid, WorkerCounter::HealthTransitions,
+                              supervisor_->drainTransitions(tid));
     }
 
     if (first) {
@@ -1435,9 +1306,10 @@ ExecutorService::escalateService(unsigned tid)
         }
     }
 
-    // Drain the retired slot ourselves: with no thread driving it —
-    // and possibly no live worker left at all — its remaining tasks
-    // must still reach their pop so every job's ledger balances.
+    // Drain the retired slot here, the one pop outside runWorker: with
+    // no thread driving it — and possibly no live worker left at all —
+    // its remaining tasks must still reach their pop so every job's
+    // ledger balances.
     Task task;
     while (sched_.tryPop(tid, task)) {
         RecordPtr record = findJob(task.job);
@@ -1550,19 +1422,11 @@ ExecutorService::shutdown()
     shutdown_.store(true, std::memory_order_release);
     admitSpace_.notify_all();
     work_.notify_all();
-    deadlineCv_.notify_all();
-    supervisorCv_.notify_all();
-    // The supervisor heals through the drain and exits once every job
-    // is terminal; join it *first* so it stops swapping replacement
-    // threads into workers_ before we join those.
-    if (supervisorThread_.joinable())
-        supervisorThread_.join();
     for (std::thread &t : workers_) {
         if (t.joinable())
             t.join();
     }
-    if (deadlineMonitor_.joinable())
-        deadlineMonitor_.join();
+    monitor_.stop();
 }
 
 } // namespace hdcps

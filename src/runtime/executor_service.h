@@ -9,7 +9,8 @@
  * job-level priority, deadline and retry policy — and one tenant's
  * failure must not take down its neighbours. ExecutorService is that
  * service, layered on the exact same building blocks as the executor
- * (see runtime/worker_common.h):
+ * (see runtime/worker_common.h) — the same worker loop, slot entry and
+ * monitor, instantiated with the job policy:
  *
  *  - Two-level scheduling with weighted fair sharing: admission
  *    dispatch is start-time fair queueing (SFQ) across *tenants* —
@@ -65,31 +66,22 @@
  *    and no shared retry table is needed.
  *
  * Supervision and self-healing (runtime/supervisor.h, DESIGN.md §15):
- * when ServiceOptions::supervisor.enabled is set, a supervisor thread
- * drives a per-worker health FSM off loop-top heartbeats and a
- * worker-exit latch. A worker that wedges (stale heartbeat) or dies
- * (crash drill / escaped exception) is quarantined — the scheduler
- * stops routing remote work at it — its buffered tasks are forcibly
- * reclaimed into live peers (quarantineAndReclaim, shared with
- * run()), and a replacement thread is spawned into
- * the freed slot, up to SupervisorPolicy::maxRestarts per sliding
- * window; past the budget the service escalates: every live job fails,
- * future submissions are rejected, and the slot is retired. Task
- * conservation stays exact throughout — reclaimed tasks re-enter live
- * queues and drained tasks are counted per job.
+ * with ServiceOptions::supervisor.enabled, the one monitor thread also
+ * polls a per-worker health FSM. A worker that wedges or dies is
+ * quarantined and its buffered tasks reclaimed into live peers; its
+ * thread parks, and the monitor re-arms the slot for the same thread,
+ * up to SupervisorPolicy::maxRestarts per sliding window. Past the
+ * budget the service escalates: every live job fails, submissions are
+ * rejected, and the slot is retired. Task conservation stays exact.
  *
  * Poison-task quarantine: a task that exhausts RetryPolicy::maxAttempts
  * is, when RetryPolicy::deadLetterOnExhaustion is set, diverted to the
  * job's dead-letter queue (JobHandle::deadLetters) instead of failing
  * the job — the job can still complete with poisonedTasks() > 0.
  *
- * Fault sites (support/fault.h): `svc.admit.full` forces admission
- * rejection, `svc.job.fail` throws inside service task processing,
- * `svc.cancel.race` delays cancel between the drain latch and its
- * publication to widen the cancel/complete race, `svc.worker.wedge`
- * stalls a worker at its loop top without heartbeats,
- * `svc.worker.die` makes a worker exit its loop as if crashed, and
- * `svc.task.poison` makes a task fail on every attempt.
+ * Fault sites (support/fault.h, described in its catalog):
+ * `svc.admit.full`, `svc.job.fail`, `svc.cancel.race`,
+ * `svc.worker.wedge`, `svc.worker.die` and `svc.task.poison`.
  *
  * Thread safety: submit/cancel/wait/stats are safe from any thread
  * (including concurrently with each other); shutdown() and the
@@ -228,7 +220,7 @@ struct JobSpec
     uint64_t deadlineMs = 0;
     /** Deadline-pressure auto-demotion: a job still not terminal this
      *  many ms after submission is deprioritized once (demote level 1)
-     *  by the deadline monitor — it keeps running at lower standing
+     *  by the service's monitor — it keeps running at lower standing
      *  instead of being failed. 0 = never. */
     uint64_t demoteAfterMs = 0;
     /** Priority added to a task incarnation per demote level when a
@@ -373,9 +365,9 @@ struct ServiceOptions
      *  DrainedTasks to their own slots; job latencies land in the
      *  JobLatencyMs global series. */
     MetricsRegistry *metrics = nullptr;
-    /** Worker supervision: health FSM thresholds, replacement-worker
-     *  budget, escalation (disabled by default — zero extra threads,
-     *  zero per-iteration cost). */
+    /** Worker supervision: health FSM thresholds, restart budget,
+     *  escalation (disabled by default — no FSM polling, zero
+     *  per-iteration cost). */
     SupervisorPolicy supervisor;
 };
 
@@ -423,11 +415,13 @@ struct TenantStats
 };
 
 /**
- * The long-lived worker pool. Owns its worker threads and a deadline
- * monitor; schedules every job's tasks through the caller-provided
- * scheduler (any CPS design — wrap it in a VerifyingScheduler to get
- * per-job conservation checking). The scheduler must have exactly
- * ServiceOptions::numThreads workers and must outlive the service.
+ * The long-lived worker pool. Owns one thread per worker slot and one
+ * monitor thread (deadlines, auto-demotion, tenant series and, when
+ * enabled, supervision); schedules every job's tasks through the
+ * caller-provided scheduler (any CPS design — wrap it in a
+ * VerifyingScheduler to get per-job conservation checking). The
+ * scheduler must have exactly ServiceOptions::numThreads workers and
+ * must outlive the service.
  */
 class ExecutorService
 {
@@ -492,9 +486,10 @@ class ExecutorService
         /**
          * One worker's share of the tenant's task accounting, on its
          * own cache line. Only the thread driving slot `tid` writes it
-         * (a healed slot's replacement starts after the join), so a
-         * bump is a relaxed load plus a release store, not an RMW on a
-         * line every worker fights over. Readers sum the slots.
+         * (a healed slot keeps its thread; a retired slot's drain runs
+         * after its thread left the loop), so a bump is a relaxed load
+         * plus a release store, not an RMW on a line every worker
+         * fights over. Readers sum the slots.
          */
         struct alignas(cacheLineBytes) WorkerSlot
         {
@@ -536,31 +531,22 @@ class ExecutorService
         uint64_t rejected = 0;
         std::atomic<uint64_t> jobsCompleted{0};
         std::vector<WorkerSlot> slots; ///< one per worker thread
-        /** Deadline-monitor-only sampling state for the per-tenant
+        /** Monitor-only sampling state for the per-tenant
          *  share/backlog series. */
         int shareSeries = -1;
         int backlogSeries = -1;
         uint64_t lastTasksProcessed = 0;
     };
 
-    /** Thread entry for slot `tid`: runs workerLoop and latches the
-     *  exit (crash vs cooperative) with the supervisor. */
-    void workerEntry(unsigned tid);
-    void workerLoop(unsigned tid, uint64_t epoch);
-    void deadlineLoop();
+    /** The service's policies for the shared worker loop and monitor
+     *  (worker_common.h). */
+    class JobWorker;
+    class JobMonitor;
 
-    /** Supervisor thread: poll the health FSM and execute its
-     *  decisions (quarantine + reclaim, heal, escalate). */
-    void supervisorLoop();
-
-    /** Heal a Dead slot: join the dead incarnation, reclaim its
-     *  backlog, flush supervision metrics (post-join safe window),
-     *  spawn a replacement, lift the quarantine. */
-    void healWorker(unsigned tid);
-
-    /** Restart budget spent: retire `tid`, fail every live job,
-     *  reject future submissions, and drain the retired slot's queues
-     *  so no task (and no job) strands. */
+    /** Restart budget spent: retire `tid` (its thread has latched its
+     *  exit and leaves on seeing Retired), fail every live job, reject
+     *  future submissions, and drain the retired slot's queues so no
+     *  task (and no job) strands. */
     void escalateService(unsigned tid);
 
     /** Dispatch the fair-queueing winner (if any tenant is eligible):
@@ -585,13 +571,9 @@ class ExecutorService
      *  when the job is not in the table). */
     RecordPtr findJob(JobId job) const;
 
-    /** Record per-tenant share/backlog series (deadline monitor only,
-     *  every ~10ms). */
-    void recordTenantSeries();
-
     /** Pop-side handling of one task belonging to `record`. Returns
      *  true when the task completed with no children: the job's
-     *  quiescence scan is then owed, and workerLoop pays it at the pop
+     *  quiescence scan is then owed, and JobWorker pays it at the pop
      *  that leaves the job (DESIGN.md §14.6). */
     bool processTask(unsigned tid, const RecordPtr &record,
                      const Task &task, std::vector<Task> &children);
@@ -633,8 +615,8 @@ class ExecutorService
     ServiceOptions options_;
 
     /** Job table: every admitted, non-terminal job by id. Written on
-     *  admit/finish; read by the deadline monitor, escalation, and a
-     *  worker whose job-record cache missed (workerLoop). */
+     *  admit/finish; read by the monitor, escalation, and a worker
+     *  whose job-record cache missed (JobWorker). */
     mutable std::shared_mutex jobsMutex_;
     std::unordered_map<JobId, RecordPtr> jobs_;
 
@@ -679,20 +661,12 @@ class ExecutorService
     mutable std::mutex latencyMutex_;
     std::vector<double> latenciesMs_;
 
-    /** Deadline monitor pacing (own mutex: never contends workers). */
-    std::mutex deadlineMutex_;
-    std::condition_variable deadlineCv_;
-
-    /** Supervisor pacing (own mutex, same pattern as the deadline
-     *  monitor). Null while supervision is disabled. */
+    /** The health FSM; null while supervision is disabled. */
     std::unique_ptr<WorkerSupervisor> supervisor_;
-    std::mutex supervisorMutex_;
-    std::condition_variable supervisorCv_;
-    std::thread supervisorThread_;
 
     std::mutex shutdownMutex_; ///< serializes the join phase
-    std::vector<std::thread> workers_;
-    std::thread deadlineMonitor_;
+    std::vector<std::thread> workers_; ///< one per slot, for good
+    Monitor monitor_;
 };
 
 } // namespace hdcps

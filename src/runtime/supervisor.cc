@@ -1,6 +1,7 @@
 #include "runtime/supervisor.h"
 
 #include "support/logging.h"
+#include "support/timer.h"
 
 namespace hdcps {
 
@@ -24,9 +25,15 @@ WorkerSupervisor::WorkerSupervisor(unsigned numWorkers,
     hdcps_check(numWorkers >= 1, "need at least one worker");
     hdcps_check(policy_.wedgedAfterMs >= policy_.suspectAfterMs,
                 "wedged threshold below suspect threshold");
+    // Every heartbeat starts fresh, so a slow thread start-up cannot
+    // read as a wedge.
+    const uint64_t now = nowNs();
     slots_.reserve(numWorkers);
-    for (unsigned i = 0; i < numWorkers; ++i)
+    for (unsigned i = 0; i < numWorkers; ++i) {
         slots_.push_back(std::make_unique<Slot>());
+        slots_.back()->lifeline.lastBeatNs.store(
+            now, std::memory_order_relaxed);
+    }
 }
 
 void
@@ -70,8 +77,8 @@ WorkerSupervisor::poll(unsigned tid, uint64_t nowNs)
 
     const uint64_t hb =
         life.lastBeatNs.load(std::memory_order_acquire);
-    if (hb == 0 || nowNs <= hb)
-        return Decision::None; // not yet started, or clock skew
+    if (nowNs <= hb)
+        return Decision::None; // clock skew
     const uint64_t staleNs = nowNs - hb;
     const uint64_t suspectNs = policy_.suspectAfterMs * 1000000ull;
     const uint64_t wedgedNs = policy_.wedgedAfterMs * 1000000ull;
@@ -107,16 +114,17 @@ WorkerSupervisor::noteRestarted(unsigned tid, uint64_t nowNs)
 {
     Slot &slot = *slots_[tid];
     WorkerLifeline &life = slot.lifeline;
-    // The epoch bump comes last and releases the re-armed lifeline: a
-    // service replacement spawns after it, and a run() worker waiting
-    // in its slot (executor.cc, awaitRearm) resumes on observing it.
     life.crashed.store(false, std::memory_order_relaxed);
-    life.exited.store(false, std::memory_order_relaxed);
     life.lastBeatNs.store(nowNs, std::memory_order_relaxed);
-    life.epoch.fetch_add(1, std::memory_order_release);
+    life.epoch.fetch_add(1, std::memory_order_relaxed);
     slot.restarts += 1;
     totalRestarts_.fetch_add(1, std::memory_order_relaxed);
     transition(slot, WorkerHealth::Healthy);
+    // The clear comes last and releases the re-armed lifeline: the
+    // slot's thread, parked in runSlot (worker_common.h), resumes on
+    // observing it. Only that thread sets the latch again, so a
+    // Quarantine bump racing its exit cannot release it early.
+    life.exited.store(false, std::memory_order_release);
 }
 
 void

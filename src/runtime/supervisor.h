@@ -1,7 +1,7 @@
 /**
  * @file
- * Worker supervision for both runtimes — run()'s monitor thread and
- * the ExecutorService's supervisor thread: a per-worker health FSM
+ * Worker supervision for both runtimes, polled by the one monitor
+ * skeleton (Monitor in worker_common.h): a per-worker health FSM
  * driven by heartbeat freshness and the worker-exit latch, plus the
  * restart-budget policy that decides between healing and escalation.
  * It is the repo's one way to find a stalled worker (DESIGN.md §10).
@@ -17,23 +17,17 @@
  *      |                                        ^    (budget spent /
  *      +------------- (crash exit latch) -------+     shutdown)
  *
- * Division of labor: the supervisor *detects and decides* — it never
- * touches scheduler queues, metric slots, or threads itself. The
- * runtime's monitor executes the returned Decision: quarantine +
- * reclaim (quarantineAndReclaim in worker_common.h) in both; join +
- * respawn of the std::thread and metric flushes in the post-join safe
- * window in the service, while run() re-arms the slot for the same
- * thread. That split keeps this class a lock-free state machine that
- * unit tests drive without threads (test_service.cc,
- * WorkerSupervisorFsm.*).
+ * Division of labor: the supervisor *detects and decides*; it never
+ * touches scheduler queues, metric slots, or threads. The monitor's
+ * one decision table (superviseSlots in worker_common.h) acts the same
+ * way in both runtimes, so this class stays a lock-free state machine
+ * that unit tests drive without threads (WorkerSupervisorFsm.*).
  *
  * Threading contract:
- *  - Worker API (beat / superseded / noteExit) is called by worker
- *    threads; it only touches that worker's padded WorkerLifeline
- *    atomics.
- *  - Supervisor API (poll / noteRestarted / retire / restartAllowed)
- *    is called by exactly one supervisor thread; per-slot FSM state is
- *    plain data owned by that thread.
+ *  - Worker API (beat / superseded / noteExit / awaitingRearm): worker
+ *    threads, touching only their own padded WorkerLifeline atomics.
+ *  - Supervisor API (poll / noteRestarted / retire): exactly one
+ *    monitor thread, which owns the per-slot FSM state.
  *  - Read-only views (health / stats accessors) are safe from any
  *    thread: health is mirrored into an atomic per slot.
  */
@@ -47,9 +41,41 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/worker_common.h"
+#include "support/compiler.h"
 
 namespace hdcps {
+
+/**
+ * Per-worker lifeline shared between a worker thread and its
+ * supervisor: a heartbeat, a slot epoch the supervisor bumps to
+ * supersede a wedged thread, and an exit latch for a loop left to be
+ * re-armed (crash or supersession). Cache-line padded: the heartbeat
+ * store is on every worker's per-iteration hot path.
+ */
+struct alignas(cacheLineBytes) WorkerLifeline
+{
+    /** Monotonic ns of the worker's last loop-top visit. Release
+     *  store, acquire load: a worker beats holding no task, after its
+     *  previous iteration's pushes, so a supervisor that reads the
+     *  last beat of a wedged worker also sees everything that worker
+     *  wrote into the scheduler before it. Pushes and pops after the
+     *  beat are ordered against the reclaim by the scheduler's
+     *  owner-side guard (Scheduler::setReclaimAfterMs). Both are plain
+     *  moves on x86. */
+    std::atomic<uint64_t> lastBeatNs{0};
+    /** Slot incarnation, captured when a worker enters the loop; the
+     *  worker leaves at the next loop top once it was bumped
+     *  (acquire/release). */
+    std::atomic<uint64_t> epoch{1};
+    /** Exit latch: set by the slot's thread when it parks for a
+     *  re-arm, cleared last by noteRestarted (release). The thread
+     *  resumes on observing the clear, so it sees the whole re-arm —
+     *  reclaim, metric flush, new epoch — before its next pop. */
+    std::atomic<bool> exited{false};
+    /** True when the exit was a crash (drill or escaped exception)
+     *  rather than a cooperative supersession. */
+    std::atomic<bool> crashed{false};
+};
 
 /** Per-worker health states, ordered by severity. */
 enum class WorkerHealth : uint8_t {
@@ -65,8 +91,8 @@ const char *workerHealthName(WorkerHealth h);
 /** Detection thresholds and healing budget for the supervisor. */
 struct SupervisorPolicy
 {
-    /** Master switch; when false the service spawns no supervisor
-     *  thread and workers pay only the heartbeat store. */
+    /** Master switch; when false the service's monitor polls no FSM
+     *  and workers skip the heartbeat store and the drills. */
     bool enabled = false;
     /** Supervisor probe cadence. */
     uint64_t probeIntervalMs = 2;
@@ -75,8 +101,8 @@ struct SupervisorPolicy
     /** Staleness that demotes Suspect -> Wedged (supersede, quarantine,
      *  reclaim). Must be >= suspectAfterMs. */
     uint64_t wedgedAfterMs = 100;
-    /** Replacement spawns allowed per sliding window before the
-     *  supervisor escalates and fails the service. */
+    /** Restarts allowed per sliding window before the supervisor
+     *  escalates and fails the service. */
     unsigned maxRestarts = 8;
     /** Width of the restart-budget sliding window. */
     uint64_t restartWindowMs = 10000;
@@ -105,11 +131,13 @@ class WorkerSupervisor
     enum class Decision : uint8_t {
         None,       ///< no action
         Quarantine, ///< newly Wedged: quarantine + reclaim; epoch bumped
-        Restart,    ///< Dead, budget ok: join, reclaim, respawn, then
-                    ///< noteRestarted
+        Restart,    ///< Dead, budget ok: reclaim again, flush the
+                    ///< slot's metrics, noteRestarted, reinstate;
+                    ///< the slot's own thread then resumes
         Escalate,   ///< Dead, budget spent: fail the service, retire
     };
 
+    /** Every slot starts with a fresh heartbeat (now). */
     WorkerSupervisor(unsigned numWorkers, SupervisorPolicy policy);
 
     // ---- worker-thread API -------------------------------------------
@@ -124,9 +152,8 @@ class WorkerSupervisor
     }
 
     /** True once the supervisor superseded this incarnation: the
-     *  caller must leave its loop top and noteExit() — the service's
-     *  worker exits, a run() worker waits to be re-armed. Acquire
-     *  pairs with the supervisor's epoch bump. */
+     *  caller must leave its loop top, noteExit() and wait to be
+     *  re-armed. Acquire pairs with the supervisor's epoch bump. */
     bool
     superseded(unsigned tid, uint64_t myEpoch) const
     {
@@ -134,8 +161,8 @@ class WorkerSupervisor
                    std::memory_order_acquire) != myEpoch;
     }
 
-    /** The epoch a newly spawned worker must capture before its first
-     *  superseded() check. */
+    /** The epoch a worker captures on entering the loop, before its
+     *  first superseded() check. */
     uint64_t
     epochOf(unsigned tid) const
     {
@@ -143,16 +170,25 @@ class WorkerSupervisor
             std::memory_order_acquire);
     }
 
-    /** Latch this incarnation's exit. Every path out of the worker
-     *  loop must call this exactly once; `crashed` marks drill-killed
-     *  or exception exits (they trigger healing) versus cooperative
-     *  supersession/shutdown exits (consumed silently). */
+    /** Latch this incarnation's exit when it leaves the loop to be
+     *  re-armed; `crashed` marks drill-killed or exception exits
+     *  versus cooperative supersession exits. A loop that ends because
+     *  its runtime stopped latches nothing. */
     void
     noteExit(unsigned tid, bool crashed)
     {
         WorkerLifeline &life = slots_[tid]->lifeline;
         life.crashed.store(crashed, std::memory_order_relaxed);
         life.exited.store(true, std::memory_order_release);
+    }
+
+    /** True while `tid`'s latched exit waits for noteRestarted. The
+     *  acquire pairs with noteRestarted's release clear. */
+    bool
+    awaitingRearm(unsigned tid) const
+    {
+        return slots_[tid]->lifeline.exited.load(
+            std::memory_order_acquire);
     }
 
     // ---- supervisor-thread API (single caller) -----------------------
@@ -166,10 +202,9 @@ class WorkerSupervisor
      */
     Decision poll(unsigned tid, uint64_t nowNs);
 
-    /** Re-arm `tid`'s lifeline (fresh heartbeat, clear latches, bump
-     *  the epoch last) and mark Healthy. The service calls it after
-     *  joining the old thread and before spawning the replacement;
-     *  run() calls it while the superseded thread waits to resume. */
+    /** Re-arm `tid`'s lifeline (fresh heartbeat, new epoch, exit latch
+     *  cleared last) and mark Healthy. The monitor calls it while the
+     *  slot's thread is parked in runSlot; the clear releases it. */
     void noteRestarted(unsigned tid, uint64_t nowNs);
 
     /** Permanently remove `tid` from supervision (escalation or
@@ -196,8 +231,8 @@ class WorkerSupervisor
     SupervisorStats stats() const;
 
     /** Health transitions charged to slot `tid` since the last drain.
-     *  Supervisor thread only; the service flushes the value into the
-     *  per-worker metrics slot inside the post-join safe window. */
+     *  Monitor thread only; superviseSlots flushes the value into the
+     *  per-worker metrics slot while the slot's thread is parked. */
     uint64_t drainTransitions(unsigned tid);
 
     const SupervisorPolicy &policy() const { return policy_; }

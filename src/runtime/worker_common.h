@@ -1,29 +1,33 @@
 /**
  * @file
- * Worker-loop machinery shared by the one-shot executor (executor.cc)
+ * The runtime machinery shared by the one-shot executor (executor.cc)
  * and the long-lived multi-tenant ExecutorService
- * (executor_service.cc). Both drive the same pop/process/push loop
- * shape over a Scheduler; what they share lives here so the service is
- * a true generalization of the executor rather than a fork of it:
+ * (executor_service.cc). Both run the paper's per-core loop (Section
+ * III-A: pop from the local PQ or sRQ, process, route the children,
+ * detect termination) and supervise it the same way, so the loop, the
+ * thread entry around it and the monitor exist here once, and each
+ * runtime supplies a compile-time policy for what really differs:
  *
+ *  - runWorker: the one worker loop (executor.cc RunWorker and
+ *    executor_service.cc JobWorker are its policies).
+ *  - runSlot: the one slot entry, the function a worker thread runs
+ *    for its slot: the loop, plus the one heal — a crashed or
+ *    superseded slot parks and resumes on the same thread.
+ *  - Monitor / superviseSlots: the one monitor skeleton and decision
+ *    table over the WorkerSupervisor FSM (runtime/supervisor.h), with
+ *    a per-runtime tick hook (RunMonitor, JobMonitor).
+ *  - quarantineAndReclaim: the one stall-recovery action that table
+ *    takes (DESIGN.md §10, §15.2).
  *  - TerminationCounters: the distributed created/completed counters
- *    and the completed-first quiescence scan (soundness argument on
- *    quiescentOnce; DESIGN.md §11). The executor keeps one instance
- *    per run; the service keeps one per *job*, which is exactly what
- *    turns run-level termination detection into per-job completion
- *    detection.
+ *    and the completed-first quiescence scan (DESIGN.md §11), one per
+ *    run in the executor and one per *job* in the service.
  *  - FailureLatch: first-error-wins failure latching plus the stop
- *    flag workers drain on. The executor latches once per run; the
- *    service embeds one latch per job, so one job's failure (thrown
- *    ProcessFn, expired deadline, explicit cancel) stops only that
- *    job's processing while co-resident jobs keep running.
+ *    flag workers drain on, one per run or per job, so one job's
+ *    failure stops only that job.
  *  - IdleBackoff: the brief-spin-then-yield policy an empty-handed
  *    worker follows so oversubscribed hosts still make progress.
  *  - TokenBucket: the deterministic admission rate limiter the
  *    service's per-tenant quotas use (DESIGN.md §17).
- *  - quarantineAndReclaim: the one stall-recovery action both
- *    runtimes' monitors take on a WorkerSupervisor decision
- *    (DESIGN.md §10, §15.2).
  */
 
 #ifndef HDCPS_RUNTIME_WORKER_COMMON_H_
@@ -31,6 +35,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -40,7 +46,11 @@
 
 #include "cps/scheduler.h"
 #include "obs/metrics.h"
+#include "runtime/supervisor.h"
 #include "support/compiler.h"
+#include "support/fault.h"
+#include "support/logging.h"
+#include "support/straggler.h"
 #include "support/timer.h"
 
 namespace hdcps {
@@ -143,13 +153,8 @@ class TerminationCounters
     bool
     quiescentOnce() const
     {
-        uint64_t done = 0;
-        for (const auto &c : completed_)
-            done += c.value.load(std::memory_order_acquire);
-        uint64_t made = 0;
-        for (const auto &c : created_)
-            made += c.value.load(std::memory_order_acquire);
-        return made == done;
+        const uint64_t done = completedTotal();
+        return sum(created_) == done;
     }
 
     /**
@@ -167,36 +172,26 @@ class TerminationCounters
     uint64_t
     pendingApprox() const
     {
-        uint64_t done = 0;
-        for (const auto &c : completed_)
-            done += c.value.load(std::memory_order_acquire);
-        uint64_t made = 0;
-        for (const auto &c : created_)
-            made += c.value.load(std::memory_order_acquire);
-        return made - done;
+        const uint64_t done = completedTotal();
+        return sum(created_) - done;
     }
 
-    uint64_t
-    createdTotal() const
-    {
-        uint64_t made = 0;
-        for (const auto &c : created_)
-            made += c.value.load(std::memory_order_acquire);
-        return made;
-    }
-
-    uint64_t
-    completedTotal() const
-    {
-        uint64_t done = 0;
-        for (const auto &c : completed_)
-            done += c.value.load(std::memory_order_acquire);
-        return done;
-    }
+    uint64_t completedTotal() const { return sum(completed_); }
 
   private:
-    std::vector<Padded<std::atomic<uint64_t>>> created_;
-    std::vector<Padded<std::atomic<uint64_t>>> completed_;
+    using Slots = std::vector<Padded<std::atomic<uint64_t>>>;
+
+    static uint64_t
+    sum(const Slots &slots)
+    {
+        uint64_t total = 0;
+        for (const auto &c : slots)
+            total += c.value.load(std::memory_order_acquire);
+        return total;
+    }
+
+    Slots created_;
+    Slots completed_;
 };
 
 /**
@@ -257,51 +252,39 @@ class FailureLatch
 };
 
 /**
- * Per-worker lifeline shared between a worker thread and its
- * supervisor (runtime/supervisor.h): a heartbeat the worker
- * publishes every loop iteration, a slot epoch the supervisor bumps to
- * supersede a wedged thread, and an exit latch that catches *anything*
- * leaving the worker loop — a crash drill, an escaped exception, or a
- * superseded thread acknowledging its replacement. Cache-line padded:
- * the heartbeat store is on every worker's per-iteration hot path.
+ * Bind a runtime's `numThreads` worker slots to `sched`: check the
+ * counts, attach `metrics` (when set), and set the owner-side guard,
+ * which is on (reclaimAfterMs > 0) exactly when a monitor may reclaim
+ * (DESIGN.md §10). Set either way, so a scheduler reused across
+ * runtimes never carries an armed guard into one that wants it off.
  */
-struct alignas(cacheLineBytes) WorkerLifeline
+inline void
+bindScheduler(Scheduler &sched, unsigned numThreads,
+              MetricsRegistry *metrics, uint64_t reclaimAfterMs)
 {
-    /** Monotonic ns of the worker's last loop-top visit. Release
-     *  store, acquire load: a worker beats holding no task, after its
-     *  previous iteration's pushes, so a supervisor that reads the
-     *  last beat of a wedged worker also sees everything that worker
-     *  wrote into the scheduler before it. Pushes and pops after the
-     *  beat are ordered against the reclaim by the scheduler's
-     *  owner-side guard (Scheduler::setReclaimAfterMs). Both are plain
-     *  moves on x86. */
-    std::atomic<uint64_t> lastBeatNs{0};
-    /** Slot incarnation. A worker captures the epoch at spawn and
-     *  exits at the next loop top once the supervisor bumped it
-     *  (acquire/release pairing: a superseded worker that observes the
-     *  bump also observes everything the supervisor published before
-     *  it). */
-    std::atomic<uint64_t> epoch{1};
-    /** Exit latch: set exactly once by the exiting thread of the
-     *  current incarnation, consumed (and cleared) by the supervisor
-     *  before a replacement is spawned. */
-    std::atomic<bool> exited{false};
-    /** True when the exit was a crash (drill or escaped exception)
-     *  rather than a cooperative supersession/shutdown exit. */
-    std::atomic<bool> crashed{false};
-};
+    hdcps_check(numThreads >= 1, "need at least one thread");
+    hdcps_check(numThreads == sched.numWorkers(),
+                "thread count (%u) != scheduler workers (%u)",
+                numThreads, sched.numWorkers());
+    if (metrics) {
+        hdcps_check(metrics->numWorkers() >= numThreads,
+                    "metrics registry has %u workers, need %u",
+                    metrics->numWorkers(), numThreads);
+        sched.attachMetrics(metrics);
+    }
+    sched.setReclaimAfterMs(reclaimAfterMs);
+}
 
 /**
- * Stall recovery, shared by run()'s monitor thread and the
- * ExecutorService's supervisor thread: mask worker `tid` out of
- * routing, then drain its buffered tasks into its live peers
- * (Scheduler::quarantine, Scheduler::reclaimWorker). The caller is the
- * one monitor thread of its runtime, and the scheduler's owner-side
- * guard is armed (setReclaimAfterMs > 0), so the drain is safe while
- * `tid`'s thread still runs. Records the drain's latency and size in
- * the ReclaimLatencyMs and ReclaimedTasks global series, which only
- * that monitor writes, and no worker's metric slot. Returns the tasks
- * moved.
+ * Stall recovery, the action superviseSlots takes for both runtimes:
+ * mask worker `tid` out of routing, then drain its buffered tasks into
+ * its live peers (Scheduler::quarantine, Scheduler::reclaimWorker).
+ * The caller is the one monitor thread of its runtime, and the
+ * scheduler's owner-side guard is armed (setReclaimAfterMs > 0), so
+ * the drain is safe while `tid`'s thread still runs. Records the
+ * drain's latency and size in the ReclaimLatencyMs and ReclaimedTasks
+ * global series, which only that monitor writes — one sample each per
+ * call, even when nothing moved. Returns the tasks moved.
  */
 inline size_t
 quarantineAndReclaim(Scheduler &sched, unsigned tid,
@@ -364,8 +347,6 @@ class TokenBucket
         return true;
     }
 
-    double tokens() const { return tokens_; }
-
   private:
     double ratePerNs_ = 0.0; ///< 0 = unlimited
     double capacity_ = 1.0;
@@ -394,6 +375,225 @@ class IdleBackoff
 
   private:
     unsigned spins_ = 0;
+};
+
+/**
+ * The one worker loop. Policy hooks (inlined): `sched()`,
+ * `supervisor()` (null when unsupervised), `stopRequested()` (leave at
+ * the loop top), `beforePop()` (its result goes to the pop's outcome
+ * hook), `onEmpty(ctx, backoff)` (false leaves), `onTask(task, ctx)`,
+ * and `beforeBlock()`, run before every point where the worker may
+ * block or leave. Returns true when `epoch` was superseded, false when
+ * the policy ended the loop; the svc.worker.die drill throws.
+ */
+template <class Policy>
+bool
+runWorker(Policy &policy, unsigned tid, uint64_t epoch)
+{
+    Scheduler &sched = policy.sched();
+    WorkerSupervisor *const supervisor = policy.supervisor();
+    IdleBackoff backoff;
+    while (true) {
+        if (policy.stopRequested()) {
+            policy.beforeBlock();
+            return false;
+        }
+
+        if (supervisor) {
+            // Loop top, holding no task: publish liveness.
+            supervisor->beat(tid, nowNs());
+            if (supervisor->superseded(tid, epoch)) {
+                policy.beforeBlock();
+                return true;
+            }
+            // Crash drill: die as if a bug killed this worker.
+            if (faultFires(faultsite::SvcWorkerDie)) {
+                policy.beforeBlock();
+                throw FaultInjectedError(
+                    "injected worker death (svc.worker.die)");
+            }
+            // Wedge drill: stall without heartbeats, holding no task.
+            // A Delay-armed site sets the stall; other modes stall 3x
+            // the wedged threshold so the detection provably trips.
+            if (faultFires(faultsite::SvcWorkerWedge)) {
+                policy.beforeBlock();
+                uint64_t ns = faultAmount(faultsite::SvcWorkerWedge);
+                if (ns == 0)
+                    ns = supervisor->policy().wedgedAfterMs * 3000000ull;
+                std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+                if (supervisor->superseded(tid, epoch))
+                    return true;
+            }
+        }
+
+        // Straggler drill: a paused worker looks exactly like a
+        // descheduled one (stale heartbeat, stranded queues).
+        if (StragglerInjector::active() != nullptr) {
+            policy.beforeBlock();
+            stragglerPausePoint(tid);
+        }
+
+        auto ctx = policy.beforePop();
+        Task task;
+        // Fault drill: the pop misfires; the task stays queued.
+        if (faultFires(faultsite::ExecPopFail) || !sched.tryPop(tid, task)) {
+            if (!policy.onEmpty(ctx, backoff)) {
+                policy.beforeBlock();
+                return false;
+            }
+            continue;
+        }
+        backoff.reset();
+        policy.onTask(task, ctx);
+    }
+}
+
+/**
+ * The one slot entry: a worker thread's whole stay in slot `tid`. It
+ * announces the thread (onWorkerStart: topology-aware designs pin it)
+ * and runs the loop. A superseded or crashed loop (anything thrown
+ * counts) latches its exit and parks, holding no task, until the
+ * monitor re-arms the slot; then the same thread announces itself
+ * again and carries on. Returns when the loop ends, the runtime stops
+ * or the slot is retired. Unsupervised, a throw propagates.
+ */
+template <class Policy>
+void
+runSlot(Policy &policy, unsigned tid)
+{
+    WorkerSupervisor *const supervisor = policy.supervisor();
+    while (true) {
+        policy.sched().onWorkerStart(tid);
+        if (supervisor == nullptr) {
+            runWorker(policy, tid, 0);
+            return;
+        }
+        bool crashed = false;
+        try {
+            if (!runWorker(policy, tid, supervisor->epochOf(tid)))
+                return;
+        } catch (...) {
+            crashed = true;
+        }
+        supervisor->noteExit(tid, crashed);
+        while (supervisor->awaitingRearm(tid)) {
+            if (policy.stopRequested() ||
+                supervisor->health(tid) == WorkerHealth::Retired)
+                return;
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+    }
+}
+
+/**
+ * The one decision table: poll every slot's FSM and act. Restart is
+ * the one heal: the slot's thread is parked in runSlot, so reclaim
+ * again (it may have pushed since the first drain; a crash was never
+ * drained), flush the slot's counters while its metric row is still
+ * ours (the re-arm's own Dead -> Healthy flip lands with the next
+ * flush), then noteRestarted, whose last store releases the thread,
+ * and reinstate. Policy hooks: `sched()`, `metrics()`, `onReclaimed()`
+ * and `onEscalate(tid)`.
+ */
+template <class Policy>
+void
+superviseSlots(Policy &policy, WorkerSupervisor &supervisor)
+{
+    Scheduler &sched = policy.sched();
+    MetricsRegistry *metrics = policy.metrics();
+    for (unsigned tid = 0; tid < supervisor.numWorkers(); ++tid) {
+        switch (supervisor.poll(tid, nowNs())) {
+          case WorkerSupervisor::Decision::Quarantine:
+            quarantineAndReclaim(sched, tid, metrics);
+            policy.onReclaimed();
+            break;
+          case WorkerSupervisor::Decision::Restart:
+            quarantineAndReclaim(sched, tid, metrics);
+            policy.onReclaimed();
+            if (metrics) {
+                metrics->add(tid, WorkerCounter::WorkerRestarts);
+                metrics->add(tid, WorkerCounter::HealthTransitions,
+                             supervisor.drainTransitions(tid));
+            }
+            supervisor.noteRestarted(tid, nowNs());
+            sched.reinstate(tid);
+            break;
+          case WorkerSupervisor::Decision::Escalate:
+            policy.onEscalate(tid);
+            break;
+          case WorkerSupervisor::Decision::None:
+            break;
+        }
+    }
+}
+
+/**
+ * The one monitor skeleton: a thread that sleeps on one condvar per
+ * `tickMs`, runs superviseSlots every probe interval when the policy's
+ * `supervisor()` is set, then calls its `bool onTick(nowNs)`; false
+ * retires the thread, and so does stop(), which also joins it.
+ */
+class Monitor
+{
+  public:
+    ~Monitor() { stop(); }
+
+    /** Start the thread; it owns `policy` (moved in). */
+    template <class Policy>
+    void
+    start(Policy policy, uint64_t tickMs)
+    {
+        thread_ = std::thread(
+            [this, tickMs](Policy p) { loop(p, tickMs); },
+            std::move(policy));
+    }
+
+    /** Retire and join the thread, if it runs. Idempotent. */
+    void
+    stop()
+    {
+        if (!thread_.joinable())
+            return;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stopped_ = true;
+        }
+        cv_.notify_all();
+        thread_.join();
+    }
+
+  private:
+    template <class Policy>
+    void
+    loop(Policy &policy, uint64_t tickMs)
+    {
+        WorkerSupervisor *const supervisor = policy.supervisor();
+        const uint64_t probeNs =
+            supervisor ? std::max<uint64_t>(
+                             supervisor->policy().probeIntervalMs, 1) *
+                             1000000ull
+                       : 0;
+        uint64_t lastProbeNs = nowNs();
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (!cv_.wait_for(lock, std::chrono::milliseconds(tickMs),
+                             [this] { return stopped_; })) {
+            lock.unlock();
+            const uint64_t now = nowNs();
+            if (supervisor && now - lastProbeNs >= probeNs) {
+                lastProbeNs = now;
+                superviseSlots(policy, *supervisor);
+            }
+            const bool more = policy.onTick(now);
+            lock.lock();
+            if (!more)
+                return;
+        }
+    }
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool stopped_ = false; ///< guarded by mutex_
+    std::thread thread_;
 };
 
 } // namespace hdcps

@@ -51,7 +51,7 @@ const FaultSiteInfo siteCatalog[] = {
      "drives Suspect/Wedged detection and quarantine"},
     {faultsite::SvcWorkerDie,
      "service worker exits its loop as if crashed: drives the exit "
-     "latch, queue reclamation, and replacement spawn"},
+     "latch, queue reclamation, and the slot's re-arm"},
     {faultsite::SvcTaskPoison,
      "service task processing throws on every attempt: drives the "
      "dead-letter (poison quarantine) path"},

@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -446,6 +448,87 @@ TEST(Executor, ProcessesWholeTreeMultiThread)
                            options);
     EXPECT_EQ(result.total.tasksProcessed, treeSize(3, 7));
     EXPECT_EQ(result.perWorker.size(), threads);
+}
+
+/**
+ * One FIFO per worker: a task goes to worker `node % n`'s FIFO, and
+ * only that worker pops it. pushBatch sleeps 50 ms between tasks, so
+ * its owner can pop and complete a batch's first task before the rest
+ * arrive.
+ */
+class SlowBatchScheduler : public Scheduler
+{
+  public:
+    explicit SlowBatchScheduler(unsigned numWorkers)
+        : Scheduler(numWorkers), queues_(numWorkers)
+    {}
+
+    void
+    push(unsigned, const Task &task) override
+    {
+        Queue &q = queues_[task.node % numWorkers()];
+        std::lock_guard<std::mutex> lock(q.mutex);
+        q.tasks.push_back(task);
+    }
+
+    void
+    pushBatch(unsigned tid, const Task *tasks, size_t count) override
+    {
+        for (size_t i = 0; i < count; ++i) {
+            if (i > 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            push(tid, tasks[i]);
+        }
+    }
+
+    bool
+    tryPop(unsigned tid, Task &out) override
+    {
+        Queue &q = queues_[tid];
+        std::lock_guard<std::mutex> lock(q.mutex);
+        if (q.tasks.empty())
+            return false;
+        out = q.tasks.front();
+        q.tasks.pop_front();
+        return true;
+    }
+
+    const char *name() const override { return "slow-batch"; }
+
+  private:
+    struct Queue
+    {
+        std::mutex mutex;
+        std::deque<Task> tasks;
+    };
+    std::vector<Queue> queues_;
+};
+
+TEST(Executor, ChildrenCountCreatedBeforeTheyArePoppable)
+{
+    // Worker 0 pops the seed, whose two children go to worker 1; the
+    // second arrives 50 ms after the first. Worker 1 completes the
+    // first child meanwhile, and its quiescence scan must still count
+    // the second: run() counts a task's children created before the
+    // push that makes them poppable. Counted after it, the scan would
+    // balance, worker 1 would leave, and the second child would strand
+    // in its queue until the watchdog failed the run.
+    SlowBatchScheduler sched(2);
+    std::atomic<uint64_t> processed{0};
+    ProcessFn process = [&processed](unsigned, const Task &task,
+                                     std::vector<Task> &children) {
+        processed.fetch_add(1, std::memory_order_relaxed);
+        if (task.data > 0) {
+            children.push_back(Task{1, 1, 0});
+            children.push_back(Task{1, 3, 0});
+        }
+    };
+    RunOptions options;
+    options.numThreads = 2;
+    options.watchdogMs = 1000;
+    RunResult r = run(sched, {Task{0, 0, 1}}, process, options);
+    EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(processed.load(), 3u);
 }
 
 TEST(Executor, MultipleInitialTasks)

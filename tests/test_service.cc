@@ -13,8 +13,10 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -701,9 +703,11 @@ TEST(Service, SupersededWorkerPaysOwedScan)
 {
     // The job's only task outlives the wedge threshold, so the
     // supervisor supersedes its worker; the task then completes
-    // childless and the worker exits at its next loop top. Its
-    // replacement owes nothing, so a worker that dropped the owed scan
-    // on exit would strand the job.
+    // childless and the worker leaves its loop at the next loop top.
+    // With no restart budget its slot is retired, not re-armed, and
+    // the escalation fails every job still live. A worker that left
+    // without paying the owed scan would leave the job live for the
+    // escalation to fail; paying first completes it.
     auto sched = std::make_unique<MultiQueueScheduler>(1);
     ServiceOptions options;
     options.numThreads = 1;
@@ -711,7 +715,7 @@ TEST(Service, SupersededWorkerPaysOwedScan)
     options.supervisor.probeIntervalMs = 1;
     options.supervisor.suspectAfterMs = 20;
     options.supervisor.wedgedAfterMs = 50;
-    options.supervisor.maxRestarts = 4;
+    options.supervisor.maxRestarts = 0;
     auto svc = std::make_unique<ExecutorService>(*sched, options);
 
     ExecutorService *raw = svc.get();
@@ -1136,7 +1140,7 @@ TEST(Service, ChaosMatrixFourJobsUnderFaultsAndStragglers)
 /**
  * Supervision: the svc.worker.die drill kills exactly one worker
  * mid-run. The supervisor must observe the exit latch, reclaim the
- * dead slot's backlog, and spawn a replacement — every job completes
+ * dead slot's backlog, and re-arm the slot — every job completes
  * with exact task counts, the conservation ledger balances, and
  * WorkerRestarts matches the injected death count deterministically.
  */
@@ -1208,13 +1212,13 @@ TEST(Service, SupervisorHealsDeadWorkerAndConservesTasks)
 
 /**
  * Supervision x topology: a healed worker must rejoin its slot's node
- * group. Node membership is slot state (assigned at construction), so
- * the replacement thread inherits it by taking over the slot — what
- * this test pins down is the announce path: every worker thread,
- * original or replacement, reports through onWorkerStart (forwarded
- * by the VerifyingScheduler wrapper), so the scheduler can re-pin the
- * new thread to the slot's node. Synthetic topologies carry no CPU
- * lists, so the test is deterministic on any host.
+ * group. Node membership is slot state (assigned at construction) —
+ * what this test pins down is the announce path: every entry into a
+ * slot, at startup and again after each re-arm, reports through
+ * onWorkerStart (forwarded by the VerifyingScheduler wrapper), so the
+ * scheduler can re-pin the healed slot's thread to the slot's node.
+ * Synthetic topologies carry no CPU lists, so the test is
+ * deterministic on any host.
  */
 TEST(Service, HealedWorkerRejoinsItsNodeGroup)
 {
@@ -1269,7 +1273,7 @@ TEST(Service, HealedWorkerRejoinsItsNodeGroup)
     ServiceStats stats = svc.stats();
     EXPECT_EQ(stats.workerRestarts, 1u);
     // Every slot announced itself at startup, and the healed slot
-    // announced once more when its replacement thread took over —
+    // announced once more when its thread resumed after the re-arm —
     // the bind that re-pins it to the slot's (unchanged) node.
     uint64_t totalBinds = 0;
     for (unsigned tid = 0; tid < threads; ++tid) {
@@ -1289,8 +1293,8 @@ TEST(Service, HealedWorkerRejoinsItsNodeGroup)
  * Supervision: the svc.worker.wedge drill stalls one worker past the
  * wedged threshold without heartbeats. The supervisor must demote it
  * through Suspect -> Wedged, quarantine + reclaim, supersede the
- * zombie, and restart the slot once the zombie drains out — with the
- * job still completing exactly.
+ * stalled thread, and re-arm the slot once that thread wakes and
+ * leaves its loop — with the job still completing exactly.
  */
 TEST(Service, SupervisorRecoversWedgedWorker)
 {
@@ -1324,8 +1328,9 @@ TEST(Service, SupervisorRecoversWedgedWorker)
     EXPECT_EQ(job.wait(), JobState::Completed);
     EXPECT_EQ(processed.load(), treeSize(9));
 
-    // The wedge resolves through supersession: zombie exits, slot is
-    // restarted. (>= because a loaded host may add organic wedges.)
+    // The wedge resolves through supersession: the stalled thread
+    // leaves its loop, the slot is re-armed. (>= because a loaded host
+    // may add organic wedges.)
     while (svc.stats().workerRestarts < 1)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
@@ -1359,7 +1364,7 @@ TEST(Service, SupervisorRecoversWedgedWorker)
  * thread is still in the ProcessFn, which then emits 64 children into
  * that worker's private PQ. The service arms the scheduler's
  * owner-side guard for as long as its supervisor runs, so the drain on
- * the supervisor thread and the worker's own push and pop never
+ * the monitor thread and the worker's own push and pop never
  * overlap (a sanitizer build reports any data race here); the job
  * completes and the ledger balances.
  */
@@ -1403,6 +1408,166 @@ TEST(Service, SupervisorReclaimsWorkerWedgedInsideATask)
 
     std::string why;
     EXPECT_TRUE(verify.checkComplete(false, &why)) << why;
+}
+
+/**
+ * The heal keeps the slot's thread. Once every slot has run tasks of a
+ * first job, the svc.worker.die drill kills one worker; its thread
+ * latches the crash and parks, the monitor re-arms the slot, and the
+ * same thread resumes. A second job then runs on every slot, so a heal
+ * that joined the dead thread and spawned a new one would show two
+ * threads in the healed slot, and one that never resumed it would show
+ * a slot idle through the second job. Threads carry a thread_local serial
+ * rather than std::thread::id, which a new thread may reuse once the
+ * old one was joined.
+ */
+TEST(Service, HealKeepsTheSlotsThread)
+{
+    constexpr unsigned threads = 4;
+    MultiQueueScheduler inner(threads);
+    VerifyingScheduler verify(inner);
+
+    // Installed only after the first job, so the death comes after the
+    // doomed slot's thread has run tasks.
+    FaultRegistry deaths(29);
+    deaths.arm(faultsite::SvcWorkerDie, FaultMode::OneShot, 1);
+
+    ServiceOptions options;
+    options.numThreads = threads;
+    options.supervisor.enabled = true;
+    options.supervisor.probeIntervalMs = 1;
+    options.supervisor.suspectAfterMs = 500;
+    options.supervisor.wedgedAfterMs = 2000;
+    options.supervisor.maxRestarts = 4;
+    ExecutorService svc(verify, options);
+
+    static std::atomic<uint64_t> nextSerial{1};
+    std::mutex seenMutex;
+    std::vector<std::set<uint64_t>> seen(threads);
+    std::vector<bool> ranAfter(threads, false);
+    std::atomic<bool> healed{false};
+    std::atomic<uint64_t> processed{0};
+    ProcessFn tree = treeJob(processed);
+    ProcessFn recording = [&](unsigned tid, const Task &task,
+                              std::vector<Task> &children) {
+        thread_local const uint64_t serial = nextSerial.fetch_add(1);
+        {
+            std::lock_guard<std::mutex> lock(seenMutex);
+            seen[tid].insert(serial);
+            if (healed.load(std::memory_order_relaxed))
+                ranAfter[tid] = true;
+        }
+        tree(tid, task, children);
+    };
+
+    JobSpec before;
+    before.name = "before-heal";
+    before.process = recording;
+    before.initial = {Task{0, 0, 9}};
+    EXPECT_EQ(svc.submit(std::move(before)).wait(), JobState::Completed);
+
+    FaultRegistry::install(&deaths);
+    for (int ms = 0; ms < 10000 && svc.stats().workerRestarts < 1; ++ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    FaultRegistry::install(nullptr);
+    ASSERT_EQ(svc.stats().workerRestarts, 1u);
+    healed.store(true, std::memory_order_relaxed);
+
+    JobSpec after;
+    after.name = "after-heal";
+    after.process = recording;
+    after.initial = {Task{0, 1, 8}};
+    EXPECT_EQ(svc.submit(std::move(after)).wait(), JobState::Completed);
+    EXPECT_EQ(processed.load(), treeSize(9) + treeSize(8));
+    svc.shutdown();
+
+    EXPECT_EQ(deaths.fireCount(faultsite::SvcWorkerDie), 1u);
+    EXPECT_EQ(svc.stats().workerRestarts, 1u);
+    EXPECT_EQ(svc.stats().crashesDetected, 1u);
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        EXPECT_EQ(seen[tid].size(), 1u) << "slot " << tid;
+        EXPECT_TRUE(ranAfter[tid]) << "slot " << tid
+                                   << " ran nothing after the heal";
+    }
+    std::string why;
+    EXPECT_TRUE(verify.checkComplete(false, &why)) << why;
+}
+
+/** Threads in this process right now, or 0 where that is unknown. */
+unsigned
+processThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return static_cast<unsigned>(std::stoul(line.substr(8)));
+    }
+    return 0;
+}
+
+/** A supervised service runs one thread per worker slot and one
+ *  monitor for deadlines and supervision alike. */
+TEST(Service, OneMonitorThread)
+{
+    constexpr unsigned threads = 3;
+    MultiQueueScheduler sched(threads);
+    ServiceOptions options;
+    options.numThreads = threads;
+    options.supervisor.enabled = true;
+    const unsigned before = processThreads();
+    if (before == 0)
+        GTEST_SKIP() << "no thread count in /proc/self/status";
+    ExecutorService svc(sched, options);
+    EXPECT_EQ(processThreads(), before + threads + 1);
+}
+
+/**
+ * Deadlines and healing share the one monitor, so a wedge must not
+ * hold up a deadline. One worker wedges for 3x the wedged threshold;
+ * once the monitor has detected it (the slot is Wedged and its thread
+ * still asleep), a job with a 50 ms deadline is submitted and must
+ * fail with the deadline error long before the wedge ends — before the
+ * slot's restart.
+ */
+TEST(Service, DeadlineExpiresWhileAWorkerIsWedged)
+{
+    constexpr unsigned threads = 2;
+    MultiQueueScheduler sched(threads);
+    ScopedFaultInjection faults(31);
+    faults->arm(faultsite::SvcWorkerWedge, FaultMode::OneShot, 1);
+
+    ServiceOptions options;
+    options.numThreads = threads;
+    options.supervisor.enabled = true;
+    options.supervisor.probeIntervalMs = 1;
+    options.supervisor.suspectAfterMs = 20;
+    options.supervisor.wedgedAfterMs = 400; // the drill stalls 1200 ms
+    ExecutorService svc(sched, options);
+
+    for (int ms = 0; ms < 5000 && svc.stats().wedgesDetected == 0; ++ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GE(svc.stats().wedgesDetected, 1u);
+
+    std::atomic<int64_t> budget{1 << 28};
+    std::atomic<uint64_t> processed{0};
+    JobSpec spec;
+    spec.name = "deadline-under-wedge";
+    spec.process = replenishJob(budget, processed, /*sleepUs=*/200);
+    spec.initial = {Task{0, 1, 0}};
+    spec.deadlineMs = 50;
+    JobHandle job = svc.submit(std::move(spec));
+
+    JobState state = JobState::Running;
+    EXPECT_TRUE(job.waitFor(500, &state))
+        << "job still " << jobStateName(job.state());
+    EXPECT_EQ(state, JobState::Failed);
+    EXPECT_NE(job.error().find("deadline"), std::string::npos)
+        << job.error();
+    EXPECT_EQ(svc.stats().workerRestarts, 0u)
+        << "the wedge ended before the deadline fired";
+    svc.shutdown();
+    EXPECT_EQ(svc.stats().deadlineExpired, 1u);
 }
 
 TEST(Service, GuardFollowsTheSupervisor)
@@ -2063,7 +2228,7 @@ TEST(Preemption, DeadlinePressureAutoDemotesOnce)
     ExecutorService svc(sched, options);
 
     // Self-replenishing job that outlives its demoteAfterMs budget by a
-    // wide margin: the deadline monitor must demote it exactly once
+    // wide margin: the monitor must demote it exactly once
     // (level 1), and the job still completes. Three parallel chains on
     // one worker keep stamp-0 incarnations queued at demotion time, so
     // the pop-time re-tag path fires too.

@@ -526,7 +526,8 @@ TEST(StragglerResilience, ReclamationRidesOutThePausedWorker)
     ASSERT_TRUE(workload->verify(&why)) << why;
 
     // The monitor records every reclaim in a series only it writes,
-    // and touches no worker's metric slot.
+    // and writes the paused worker's metric slot only while that
+    // worker is parked for its re-arm.
     EXPECT_EQ(reclaimedSeriesTotal(metrics), sched.reclaimedTasks());
     EXPECT_EQ(metrics.writerViolations(), 0u);
     // run() lifts every quarantine before it returns.
@@ -576,6 +577,52 @@ TEST(StragglerResilience, MonitorReclaimsWorkerWedgedInsideATask)
     EXPECT_TRUE(verified.checkComplete(false, &why)) << why;
     for (unsigned tid = 0; tid < threads; ++tid)
         EXPECT_FALSE(sched.isQuarantined(tid)) << tid;
+}
+
+/**
+ * A superseded run() worker must rejoin the run. RELD sends every new
+ * task to a random worker's PQ whatever the quarantine says, and no
+ * reclaimWorker drains those PQs, so tasks keep landing on a paused
+ * worker. Once the pause ends it finds itself superseded, parks until
+ * the monitor re-arms its slot, then carries on on the same thread and
+ * drains its PQ; a worker that left instead would strand those tasks
+ * until the watchdog failed the run.
+ */
+TEST(StragglerResilience, SupersededWorkerRejoinsTheRun)
+{
+    Graph g = makeRoadGrid(20, 20, {.seed = 29});
+    auto workload = makeWorkload("sssp", g, 0);
+    constexpr unsigned threads = 4;
+
+    ScopedStragglerInjection stragglers(threads, 1);
+    stragglers->add(StragglerInjector::PauseEvent{1, 30, 300});
+
+    ReldScheduler sched(threads, 3);
+    VerifyingScheduler verified(sched);
+    MetricsRegistry::Config metricsConfig;
+    metricsConfig.checkSingleWriter = true;
+    MetricsRegistry metrics(threads, metricsConfig);
+    RunOptions options;
+    options.numThreads = threads;
+    options.watchdogMs = 2000; // only a stranded PQ may trip it
+    options.reclaimAfterMs = 25;
+    options.metrics = &metrics;
+    RunResult r = run(verified, workload->initialTasks(),
+                      workloadProcessFn(*workload), options);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_GE(stragglers->pausesInjected(), 1u);
+
+    std::string why;
+    EXPECT_TRUE(verified.checkComplete(false, &why)) << why;
+    ASSERT_TRUE(workload->verify(&why)) << why;
+    // The re-arm flushed the slot's restart count while it was parked.
+    uint64_t restarts = 0;
+    for (const auto &counter : metrics.snapshot().counters) {
+        if (counter.name == "worker_restarts")
+            restarts = counter.total;
+    }
+    EXPECT_GE(restarts, 1u);
+    EXPECT_EQ(metrics.writerViolations(), 0u);
 }
 
 // ------------------------------ distributed termination (chaos soak)
