@@ -4,7 +4,8 @@
  * scheduler-level throughput scenarios the perf gate tracks.
  *
  * The micro section quantifies, on the host, the software PQ rebalance
- * cost growth with occupancy and the cost gap between the locked PQ
+ * cost growth with occupancy (DAryHeap, and HD-CPS's keyed local PQ
+ * next to it) and the cost gap between the locked PQ
  * (RELD's enqueue path) and the receive queue (HD-CPS's enqueue path)
  * — the software-side motivation for Figure 5's sRQ gains. The
  * scenario section drives a whole HdCpsScheduler (and the threaded
@@ -14,7 +15,7 @@
  * The local_backend scenario quantifies the relaxed-vs-exact queue
  * tradeoff from the MultiQueue modernization: MultiQueue churn at
  * stickiness 1 and 8, and HD-CPS's private-PQ seam driven over both
- * backends (DAryHeap vs relaxed MQ), each row carrying quiescent
+ * backends (keyed 4-ary heap vs relaxed MQ), each row carrying quiescent
  * rank-error counters next to its throughput.
  *
  * Results are mirrored into a machine-readable JSON file (default
@@ -34,6 +35,7 @@
 #include "core/bag_policy.h"
 #include "core/bag_pool.h"
 #include "core/hdcps.h"
+#include "core/local_pq.h"
 #include "core/recv_queue.h"
 #include "cps/multiqueue.h"
 #include "cps/task.h"
@@ -64,6 +66,24 @@ BM_DAryHeapPushPop(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) * 2);
 }
 BENCHMARK(BM_DAryHeapPushPop)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
+
+/** The same churn through HD-CPS's exact local-PQ backend: 16-byte
+ *  keys in the heap, the tasks in its slab. */
+void
+BM_DAryLocalPqPushPop(benchmark::State &state)
+{
+    const size_t occupancy = static_cast<size_t>(state.range(0));
+    DAryLocalPq<Task, TaskOrder> pq;
+    Rng rng(1);
+    for (size_t i = 0; i < occupancy; ++i)
+        pq.push(Task{rng.below(1 << 20), uint32_t(i), 0});
+    for (auto _ : state) {
+        pq.push(Task{rng.below(1 << 20), 0, 0});
+        benchmark::DoNotOptimize(pq.pop());
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) * 2);
+}
+BENCHMARK(BM_DAryLocalPqPushPop)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
 
 void
 BM_LockedPqRemoteEnqueue(benchmark::State &state)
@@ -531,7 +551,7 @@ BENCHMARK(BM_MultiQueueChurn)->Arg(1)->Arg(8);
 
 /**
  * Local-backend A/B: the same single-worker HD-CPS scheduler over its
- * two private-PQ backends — the exact DAryHeap (HdCpsScheduler) and
+ * two private-PQ backends — the exact keyed heap (HdCpsScheduler) and
  * the relaxed owner-private MultiQueue (HdCpsMqScheduler). One worker
  * keeps every task on the local path, so the throughput difference is
  * purely the backend's push/pop cost, and the rank-error counters
@@ -601,7 +621,8 @@ layerOf(const std::string &name)
 {
     if (name.find("BM_DAryHeap") == 0 || name.find("BM_LockedPq") == 0)
         return "pq";
-    if (name.find("BM_LocalBackendPushPop") == 0)
+    if (name.find("BM_DAryLocalPq") == 0 ||
+        name.find("BM_LocalBackendPushPop") == 0)
         return "local_pq";
     if (name.find("BM_ReceiveQueue") == 0 || name.find("BM_Bag") == 0)
         return "transfer";

@@ -250,7 +250,9 @@ class BasicHdCpsScheduler : public Scheduler
     /** A PQ entry is either a single task or bag metadata.
      *  Invariant: when bag != nullptr, task is a metadata stub with
      *  task.priority == bag->priority and task.node == 0 (so ordering
-     *  never chases the bag pointer) — build entries with makeEntry. */
+     *  never chases the bag pointer) — build entries with makeEntry.
+     *  32 bytes (a 24-byte Task and a pointer); the exact backend keeps
+     *  it in its slab and moves only a 16-byte key through the heap. */
     struct PqEntry
     {
         Task task;       ///< the task, or the bag's metadata stub
@@ -265,22 +267,31 @@ class BasicHdCpsScheduler : public Scheduler
 
     struct PqEntryOrder
     {
+        /** The entry's (priority, node) pair: TaskOrder's, from which
+         *  DAryLocalPq packs its 128-bit heap key. */
+        static OrderKey
+        key(const PqEntry &e)
+        {
+            return TaskOrder::key(e.task);
+        }
+
         bool
         operator()(const PqEntry &a, const PqEntry &b) const
         {
-            // Branch-free (priority, node) lexicographic compare:
-            // bitwise &/| instead of short-circuit &&/|| so the
-            // compiler emits setcc/and/or instead of data-dependent
-            // branches that mispredict ~half the time on randomly
-            // ordered priorities (the pop path does ~a dozen compares
-            // per dequeue inside siftDown's find-min loop). The full
-            // 64-bit priority is compared: SSSP/A* tentative distances
-            // exceed 32 bits on large-weight graphs, so a (priority <<
-            // 32) | node packed key would truncate and silently invert
-            // heap order. Packing into a 96-bit key instead measured
-            // slower than this form — alignof(__int128) == 16 grows
-            // the entry from 24 to 48 bytes and the heap becomes
-            // memory-bound before it becomes compare-bound.
+            // The same (priority, node) order as key(), for the
+            // backends that compare whole entries (RelaxedMqLocalPq's
+            // DAryHeaps). Branch-free: bitwise &/| instead of
+            // short-circuit &&/|| so the compiler emits setcc/and/or
+            // instead of data-dependent branches that mispredict ~half
+            // the time on randomly ordered priorities. The full 64-bit
+            // priority is compared: SSSP/A* tentative distances exceed
+            // 32 bits on large-weight graphs, so a (priority << 32) |
+            // node packed key would truncate and silently invert heap
+            // order. An earlier 96-bit packed key stored in the entry
+            // measured slower than this form, because alignof(__int128)
+            // == 16 grew every heap element to 48 bytes; DAryLocalPq
+            // avoids that by keeping only the 16-byte key in its heap
+            // and the entry in a side slab.
             return static_cast<bool>(
                 uint32_t(a.task.priority < b.task.priority) |
                 (uint32_t(a.task.priority == b.task.priority) &
@@ -340,7 +351,7 @@ class BasicHdCpsScheduler : public Scheduler
 
         /** Reused pushBatch buffer for planRanges (no per-batch copy). */
         std::vector<Task> planScratch;
-        /** Reused drainIncoming buffer feeding DAryHeap::pushBulk. */
+        /** Reused drainIncoming buffer feeding LocalPq::pushBulk. */
         std::vector<PqEntry> drainScratch;
 
         /**

@@ -56,9 +56,21 @@ static_assert(sizeof(Task) == 24,
               "Task is the 128-bit Table-I entry plus the 64-bit "
               "host-side job tag");
 
+/** The (priority, node) pair an exact task order sorts by. */
+struct OrderKey
+{
+    Priority priority;
+    uint32_t node;
+};
+
 /** Min-heap ordering: true when a schedules before b. */
 struct TaskOrder
 {
+    /** The fields operator() compares, lexicographically; heaps that
+     *  pack them into one integer key (core/local_pq.h) read them here.
+     */
+    static OrderKey key(const Task &t) { return {t.priority, t.node}; }
+
     bool
     operator()(const Task &a, const Task &b) const
     {

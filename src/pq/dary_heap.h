@@ -2,12 +2,16 @@
  * @file
  * Sequential d-ary min-heap.
  *
- * The workhorse priority queue behind the per-core software PQs of RELD
- * and HD-CPS, and behind the simulator's software-PQ cost model. A 4-ary
- * layout is the default: it halves tree depth versus a binary heap and
- * keeps children of a node within one cache line for 8/16-byte elements,
- * which matters because PQ rebalancing is precisely the overhead the
- * paper's hPQ exists to hide.
+ * The workhorse priority queue behind RELD's per-core PQs, the
+ * MultiQueue's heaps, the locked overflow PQ, HD-CPS's relaxed local
+ * backend and the test oracles, and behind the simulator's software-PQ
+ * cost model (its move counter). A 4-ary layout is the default: it
+ * halves tree depth versus a binary heap and keeps children of a node
+ * within one cache line for 8/16-byte elements, which matters because
+ * PQ rebalancing is precisely the overhead the paper's hPQ exists to
+ * hide. HD-CPS's exact per-core PQ is not this class: DAryLocalPq
+ * (core/local_pq.h) heaps 16-byte integer keys and keeps the elements
+ * in a side slab.
  */
 
 #ifndef HDCPS_PQ_DARY_HEAP_H_

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit and property tests for the queue substrate: d-ary heap, bucket
- * queue, locked PQ, the HD-CPS software receive queue, and the
- * simulated hardware queues.
+ * queue, locked PQ, HD-CPS's local-PQ backends and software receive
+ * queue, and the simulated hardware queues.
  */
 
 #include <gtest/gtest.h>
@@ -490,26 +490,175 @@ TEST(LockedTaskPq, ProbeVsPushAgainstTerminationScan)
 
 // --------------------------------------------- local-PQ backends
 
+/** A task whose priority spans past 2^32 and often ties: `level`
+ *  picks one of a few dozen wide priorities, `node` breaks the tie. */
+Task
+wideTask(Rng &rng, uint32_t node)
+{
+    const uint64_t level = rng.below(40);
+    return Task{(level << 33) | rng.below(3), node, uint32_t(rng.next())};
+}
+
 TEST(DAryLocalPq, PopsInExactSortedOrder)
 {
-    // The exact backend must behave byte-for-byte like the heap it
-    // wraps: strict sorted pops (this is what keeps hdcps-srq's
-    // conformance rank bound at 0).
-    DAryLocalPq<int, std::less<int>> pq;
+    // Strict (priority, node) order is what keeps hdcps-srq's
+    // conformance rank bound at 0. DAryHeap<Task, TaskOrder> is the
+    // reference: every (priority, node) pair below is distinct, so the
+    // two heaps must pop the same tasks in the same order, through
+    // priorities past 2^32 and runs of equal priorities.
+    DAryLocalPq<Task, TaskOrder> pq;
+    DAryHeap<Task, TaskOrder> reference;
     pq.configure(8, 123); // no-op by contract
     Rng rng(5);
-    std::vector<int> values;
-    for (int i = 0; i < 300; ++i) {
-        int v = int(rng.below(1000));
-        values.push_back(v);
-        pq.push(v);
+    std::vector<uint32_t> nodes(600);
+    std::iota(nodes.begin(), nodes.end(), 0u);
+    for (size_t i = nodes.size(); i > 1; --i)
+        std::swap(nodes[i - 1], nodes[rng.below(i)]);
+    for (size_t i = 0; i < 300; ++i) {
+        const Task t = wideTask(rng, nodes[i]);
+        pq.push(t);
+        reference.push(t);
     }
-    std::sort(values.begin(), values.end());
-    for (int expected : values) {
+    // Half drained, then refilled over the freed slots.
+    for (int i = 0; i < 150; ++i)
+        ASSERT_EQ(pq.pop(), reference.pop()) << "pop " << i;
+    for (size_t i = 300; i < nodes.size(); ++i) {
+        const Task t = wideTask(rng, nodes[i]);
+        pq.push(t);
+        reference.push(t);
+    }
+    EXPECT_EQ(pq.size(), reference.size());
+    while (!reference.empty()) {
         ASSERT_FALSE(pq.empty());
-        EXPECT_EQ(pq.pop(), expected);
+        ASSERT_EQ(pq.pop(), reference.pop());
     }
     EXPECT_TRUE(pq.empty());
+}
+
+TEST(DAryLocalPq, InterleavedRunsReuseSlabSlots)
+{
+    // Rounds that fill to a random depth and drain back near empty,
+    // mixing pushes, bulk pushes and pops: pops track the reference
+    // heap throughout, and the slab never holds more slots than the
+    // most tasks ever live at once.
+    DAryLocalPq<Task, TaskOrder> pq;
+    DAryHeap<Task, TaskOrder> reference;
+    Rng rng(17);
+    uint32_t node = 0;
+    size_t maxLive = 0;
+    std::vector<Task> batch;
+    auto pushOne = [&]() {
+        const Task t = wideTask(rng, node++);
+        pq.push(t);
+        reference.push(t);
+    };
+    auto pushMany = [&]() {
+        batch.clear();
+        const size_t n = 1 + rng.below(2 * pq.size() + 8);
+        for (size_t i = 0; i < n; ++i)
+            batch.push_back(wideTask(rng, node++));
+        pq.pushBulk(batch.begin(), batch.end());
+        reference.pushBulk(batch.begin(), batch.end());
+    };
+    auto popOne = [&]() {
+        if (!reference.empty()) {
+            ASSERT_EQ(pq.pop(), reference.pop());
+        }
+    };
+    for (int round = 0; round < 20; ++round) {
+        const size_t depth = 1 + rng.below(3000);
+        while (pq.size() < depth) {
+            const uint64_t roll = rng.below(100);
+            if (roll < 30)
+                popOne();
+            else if (roll < 35)
+                pushMany();
+            else
+                pushOne();
+            maxLive = std::max(maxLive, pq.size());
+        }
+        const size_t floor = rng.below(8);
+        while (pq.size() > floor) {
+            if (rng.below(100) < 20)
+                pushOne();
+            else
+                popOne();
+            maxLive = std::max(maxLive, pq.size());
+        }
+        ASSERT_FALSE(HasFatalFailure()) << "round " << round;
+        ASSERT_EQ(pq.size(), reference.size());
+    }
+    EXPECT_GT(maxLive, 1000u);
+    EXPECT_EQ(pq.slabSlots(), maxLive);
+    while (!reference.empty())
+        ASSERT_EQ(pq.pop(), reference.pop());
+    EXPECT_TRUE(pq.empty());
+    EXPECT_EQ(pq.slabSlots(), maxLive);
+}
+
+TEST(DAryLocalPq, PushBulkHeapifyMatchesPerElementPushes)
+{
+    // A drain at least half the occupancy takes the bottom-up heapify;
+    // a smaller one sifts up per element. Both must pop the sorted
+    // sequence that per-element pushes give.
+    for (size_t added : {size_t(5), size_t(400)}) {
+        DAryLocalPq<Task, TaskOrder> bulk, single;
+        Rng rng(29 + added);
+        std::vector<Task> all;
+        for (uint32_t i = 0; i < 40; ++i)
+            all.push_back(wideTask(rng, i));
+        for (const Task &t : all) {
+            bulk.push(t);
+            single.push(t);
+        }
+        std::vector<Task> batch;
+        for (uint32_t i = 0; i < added; ++i)
+            batch.push_back(wideTask(rng, 40 + i));
+        bulk.pushBulk(batch.begin(), batch.end());
+        for (const Task &t : batch)
+            single.push(t);
+        all.insert(all.end(), batch.begin(), batch.end());
+        std::sort(all.begin(), all.end(), TaskOrder{});
+        ASSERT_EQ(bulk.size(), all.size());
+        for (const Task &expected : all) {
+            ASSERT_EQ(single.pop(), expected) << "added " << added;
+            ASSERT_EQ(bulk.pop(), expected) << "added " << added;
+        }
+        EXPECT_TRUE(bulk.empty());
+        EXPECT_TRUE(single.empty());
+    }
+}
+
+TEST(DAryLocalPq, KeyOrderAgreesWithTaskOrder)
+{
+    // The packed 128-bit key must order exactly as TaskOrder does
+    // whenever (priority, node) differ, whatever the slots: full-width
+    // priorities, equal priorities, and the extremes of both fields.
+    using Pq = DAryLocalPq<Task, TaskOrder>;
+    Rng rng(41);
+    const uint64_t edges[] = {0, 1, (uint64_t(1) << 32) - 1,
+                              uint64_t(1) << 32, ~uint64_t(0)};
+    auto draw = [&]() {
+        Task t;
+        switch (rng.below(3)) {
+          case 0: t.priority = rng.next(); break;
+          case 1: t.priority = edges[rng.below(5)]; break;
+          default: t.priority = rng.below(4) << 40; break;
+        }
+        t.node = rng.below(2) ? uint32_t(rng.next())
+                              : uint32_t(edges[rng.below(4)]);
+        return t;
+    };
+    for (int i = 0; i < 100000; ++i) {
+        const Task a = draw();
+        const Task b = draw();
+        const uint32_t sa = uint32_t(rng.next()), sb = uint32_t(rng.next());
+        if (a.priority == b.priority && a.node == b.node)
+            continue;
+        ASSERT_EQ(Pq::keyOf(a, sa) < Pq::keyOf(b, sb), TaskOrder{}(a, b))
+            << "priorities " << a.priority << " / " << b.priority
+            << ", nodes " << a.node << " / " << b.node;
+    }
 }
 
 TEST(RelaxedMqLocalPq, ConservesEverythingAcrossWays)

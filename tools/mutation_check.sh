@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Prove that the tests guarding the runtime's termination and recovery
-# protocols still bite.
+# protocols, and HD-CPS's exact local-PQ order, still bite.
 #
 # Usage: tools/mutation_check.sh [rev]
 #   rev: the commit to check (default HEAD). To check uncommitted work,
@@ -76,7 +76,7 @@ check() {
         local test
         IFS=: read -ra tests <<< "$filter"
         for test in "${tests[@]}"; do
-            local log=$work/$name.$test.log rc=0
+            local log=$work/$name.${test//\//_}.log rc=0
             timeout 300 "$build/tests/$target" --gtest_filter="$test" \
                 > "$log" 2>&1 || rc=$?
             if [ "$rc" -eq 0 ]; then
@@ -194,6 +194,23 @@ check rearm-resumes-the-slot-service default test_service \
     src/runtime/worker_common.h \
 '        while (supervisor->awaitingRearm(tid)) {' \
 '        while (true) {'
+
+# HD-CPS's exact local PQ keeps the full 64-bit priority in its heap
+# key; truncated to 32 bits, the >2^32 conformance domain collapses
+# and the exact designs pop far out of rank order.
+check local-pq-full-priority default test_conformance \
+    'AllDesigns/ConformanceMatrix.QuiescentRankErrorWithinBackendBound/hdcps_sw:AllDesigns/ConformanceMatrix.QuiescentRankErrorWithinBackendBound/hdcps_srq:AllDesigns/ConformanceMatrix.QuiescentRankErrorWithinBackendBound/hdcps_numa' \
+    src/core/local_pq.h \
+'        return (LocalPqKey(order.priority) << 64) |' \
+'        return (LocalPqKey(uint32_t(order.priority)) << 64) |'
+
+# Its sift-down takes the smaller of the two pair winners; taking the
+# larger breaks the heap property on every full four-child level.
+check local-pq-child-pick default test_pq \
+    'DAryLocalPq.PopsInExactSortedOrder:DAryLocalPq.InterleavedRunsReuseSlabSlots' \
+    src/core/local_pq.h \
+'                best = keys[b] < keys[a] ? b : a;' \
+'                best = keys[b] < keys[a] ? a : b;'
 
 echo "mutation check: $killed killed, $failed not killed"
 [ "$failed" -eq 0 ]
