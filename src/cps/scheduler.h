@@ -99,7 +99,10 @@ class Scheduler
      * (worker 0) included; run() restores each thread's CPU mask when
      * its worker body ends.
      * Topology-aware designs pin the calling thread to the slot's NUMA
-     * node here, so a healed slot re-pins to its node group. Must
+     * node here, so a healed slot re-pins to its node group. Right
+     * after this hook both runtimes pin the thread to the slot's own
+     * CPU, unless the hook changed the thread's CPU mask: a design
+     * that places its workers wins (DESIGN.md §16.5). Must
      * be idempotent and safe while other workers run (the default is a
      * no-op; overrides must not touch cross-worker state).
      */

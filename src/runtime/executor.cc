@@ -14,7 +14,6 @@
 
 #ifdef __linux__
 #include <pthread.h>
-#include <sched.h>
 #endif
 
 #include "runtime/supervisor.h"
@@ -23,6 +22,7 @@
 #include "support/fault.h"
 #include "support/logging.h"
 #include "support/timer.h"
+#include "support/topology.h"
 
 namespace hdcps {
 
@@ -51,6 +51,10 @@ struct RunState
      *  the stall diagnostic name *which* worker went quiet and for how
      *  long, not just who popped least overall. */
     std::vector<Padded<std::atomic<uint64_t>>> lastPopNs;
+
+    /** Worker `tid`'s CPU (planSlotCpus from the caller, worker 0 on
+     *  the caller's own CPU); empty when nothing is pinned. */
+    std::vector<unsigned> cpus;
 
     /** RunResult::perWorker; worker `tid` writes only its own entry. */
     Breakdown *perWorker = nullptr;
@@ -132,6 +136,7 @@ class RunWorker
 
     Scheduler &sched() { return *state_.sched; }
     WorkerSupervisor *supervisor() { return state_.supervisor.get(); }
+    const std::vector<unsigned> &slotCpus() const { return state_.cpus; }
     bool stopRequested() const { return state_.latch.stopRequested(); }
     void beforeBlock() {}
 
@@ -300,33 +305,21 @@ class RunMonitor
 /**
  * One worker's whole stay in a run, on whichever thread runs it: the
  * shared slot entry (runSlot) with run()'s policy. The thread leaves
- * with the CPU mask it came in with: a topology-aware design pins in
- * onWorkerStart, and neither the caller nor a resident helper may
- * carry one run's pinning into the next. noexcept: an escaping
- * exception must not unwind the caller past a RunState that helpers
- * still use, so it terminates, as it always did on a worker thread.
+ * with the CPU mask it came in with: runSlot pins it to its slot's CPU
+ * or a topology-aware design pins it in onWorkerStart, and neither the
+ * caller nor a resident helper may carry one run's pinning into the
+ * next. noexcept: an escaping exception must not unwind the caller
+ * past a RunState that helpers still use, so it terminates, as it
+ * always did on a worker thread.
  */
 void
 workerBody(RunState &state, unsigned tid) noexcept
 {
-#ifdef __linux__
-    cpu_set_t entryMask;
-    const bool saved = pthread_getaffinity_np(pthread_self(),
-                                              sizeof(entryMask),
-                                              &entryMask) == 0;
-#endif
+    const std::vector<unsigned> entryCpus = threadCpus();
     RunWorker worker(state, tid);
     runSlot(worker, tid);
-#ifdef __linux__
-    cpu_set_t exitMask;
-    if (saved &&
-        pthread_getaffinity_np(pthread_self(), sizeof(exitMask),
-                               &exitMask) == 0 &&
-        !CPU_EQUAL(&exitMask, &entryMask)) {
-        pthread_setaffinity_np(pthread_self(), sizeof(entryMask),
-                               &entryMask);
-    }
-#endif
+    if (!entryCpus.empty() && threadCpus() != entryCpus)
+        setThreadCpus(entryCpus);
 }
 
 /**
@@ -345,7 +338,7 @@ struct Helper
     std::thread thread;
 };
 
-void helperMain(Helper &self);
+void helperMain(Helper &self, const std::vector<unsigned> &birthCpus);
 
 /**
  * The idle helpers. run() takes one per helper worker and spawns a new
@@ -367,9 +360,13 @@ class HelperPool
         for (unsigned tid = 1; tid < state.options.numThreads; ++tid) {
             Helper *helper = takeIdle();
             if (helper == nullptr) {
+                // A caller pinned by an enclosing runtime's slot hands
+                // the new helper that slot's entry mask, not its CPU.
                 helper = new Helper;
-                helper->thread =
-                    std::thread(helperMain, std::ref(*helper));
+                helper->thread = std::thread(
+                    helperMain, std::ref(*helper),
+                    slotEntryCpus ? *slotEntryCpus
+                                  : std::vector<unsigned>());
             }
             {
                 std::lock_guard<std::mutex> lock(helper->mutex);
@@ -427,8 +424,10 @@ helperPool()
 }
 
 void
-helperMain(Helper &self)
+helperMain(Helper &self, const std::vector<unsigned> &birthCpus)
 {
+    if (!birthCpus.empty())
+        setThreadCpus(birthCpus);
     std::unique_lock<std::mutex> lock(self.mutex);
     while (true) {
         self.wake.wait(lock, [&self] { return self.state != nullptr; });
@@ -498,6 +497,7 @@ run(Scheduler &sched, const std::vector<Task> &initial,
     RunResult result;
     result.perWorker.assign(options.numThreads, Breakdown{});
     state.perWorker = result.perWorker.data();
+    state.cpus = planSlotCpus(options.numThreads, 0);
 
     // The monitor rides alongside the workers and is retired the
     // moment they all exit, failed run or not. It ticks once per probe

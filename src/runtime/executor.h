@@ -9,6 +9,9 @@
  *    policy — on the calling thread (worker 0) and on resident helper
  *    threads (workers 1..n-1), so no run() spawns or joins a thread
  *    once helpers exist (DESIGN.md §11);
+ *  - one CPU per worker: worker 0 keeps the CPU the caller runs on and
+ *    helpers take the next CPUs of the caller's mask, for the run only
+ *    (DESIGN.md §16.5);
  *  - distributed termination detection: per-worker created/completed
  *    counters (a task counts as created before it is poppable and as
  *    completed only after its children were pushed) and a
@@ -131,9 +134,15 @@ struct RunResult
  * spawned only when none is idle, so the helpers number the most ever
  * in use at once, and concurrent or nested run() calls each get their
  * own. Every worker calls Scheduler::onWorkerStart on its thread
- * before its first pop, and each thread leaves with the CPU mask it
- * came in with. Blocks until all tasks are done and every worker body
- * has returned. Never terminates the process on a ProcessFn exception
+ * before its first pop. Then, unless that hook changed the thread's
+ * CPU mask, worker `tid` is pinned to the tid-th CPU of the caller's
+ * mask counted from the caller's current CPU, so worker 0 stays where
+ * the caller runs; nothing is pinned when the workers outnumber the
+ * mask's CPUs or the mask holds one CPU (a run() nested in a pinned
+ * worker). Each thread leaves with the CPU mask it came in with; a
+ * thread that `process` spawns inherits its worker's one CPU.
+ * Blocks until all tasks are done and every worker body has
+ * returned. Never terminates the process on a ProcessFn exception
  * — inspect RunResult::ok() / error instead.
  */
 RunResult run(Scheduler &sched, const std::vector<Task> &initial,

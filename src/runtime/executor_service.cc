@@ -8,6 +8,7 @@
 #include "support/logging.h"
 #include "support/rng.h"
 #include "support/timer.h"
+#include "support/topology.h"
 
 namespace hdcps {
 
@@ -316,6 +317,7 @@ class ExecutorService::JobWorker
 
     Scheduler &sched() { return svc_.sched_; }
     WorkerSupervisor *supervisor() { return svc_.supervisor_.get(); }
+    const std::vector<unsigned> &slotCpus() const { return svc_.slotCpus_; }
 
     bool
     stopRequested() const
@@ -545,6 +547,9 @@ ExecutorService::ExecutorService(Scheduler &sched,
             options_.numThreads, options_.supervisor);
     }
 
+    // One CPU per slot, starting after the owner's own (DESIGN.md
+    // §16.5).
+    slotCpus_ = planSlotCpus(options.numThreads, 1);
     workers_.reserve(options.numThreads);
     for (unsigned tid = 0; tid < options.numThreads; ++tid) {
         workers_.emplace_back([this, tid] {

@@ -73,6 +73,16 @@
  * up to SupervisorPolicy::maxRestarts per sliding window. Past the
  * budget the service escalates: every live job fails, submissions are
  * rejected, and the slot is retired. Task conservation stays exact.
+ * A healed slot resumes on its own thread, and so on its own CPU.
+ *
+ * One CPU per worker (DESIGN.md §16.5): slot `tid` is pinned to the
+ * (tid+1)-th CPU of the constructing thread's mask, counted from the
+ * CPU that thread runs on, so with fewer slots than CPUs the owner
+ * (typically the submitter) keeps a CPU to itself and the workers
+ * submit() wakes never stack on one CPU. Nothing is pinned when the
+ * slots outnumber the mask's CPUs or the mask holds one CPU, and a
+ * scheduler that places the thread in onWorkerStart keeps its
+ * placement.
  *
  * Poison-task quarantine: a task that exhausts RetryPolicy::maxAttempts
  * is, when RetryPolicy::deadLetterOnExhaustion is set, diverted to the
@@ -663,6 +673,11 @@ class ExecutorService
 
     /** The health FSM; null while supervision is disabled. */
     std::unique_ptr<WorkerSupervisor> supervisor_;
+
+    /** Slot `tid`'s CPU (planSlotCpus from the owner, skipping the
+     *  owner's CPU); empty when nothing is pinned. Set before the
+     *  workers start. */
+    std::vector<unsigned> slotCpus_;
 
     std::mutex shutdownMutex_; ///< serializes the join phase
     std::vector<std::thread> workers_; ///< one per slot, for good

@@ -11,8 +11,9 @@
  *  - runWorker: the one worker loop (executor.cc RunWorker and
  *    executor_service.cc JobWorker are its policies).
  *  - runSlot: the one slot entry, the function a worker thread runs
- *    for its slot: the loop, plus the one heal — a crashed or
- *    superseded slot parks and resumes on the same thread.
+ *    for its slot: one CPU per slot (SlotPlacement), the loop, plus
+ *    the one heal — a crashed or superseded slot parks and resumes on
+ *    the same thread, and so on the same CPU.
  *  - Monitor / superviseSlots: the one monitor skeleton and decision
  *    table over the WorkerSupervisor FSM (runtime/supervisor.h), with
  *    a per-runtime tick hook (RunMonitor, JobMonitor).
@@ -52,6 +53,7 @@
 #include "support/logging.h"
 #include "support/straggler.h"
 #include "support/timer.h"
+#include "support/topology.h"
 
 namespace hdcps {
 
@@ -449,21 +451,70 @@ runWorker(Policy &policy, unsigned tid, uint64_t epoch)
 }
 
 /**
+ * The mask the calling thread entered its runSlot with while that slot
+ * holds it pinned to one CPU, else null. A thread such a worker spawns
+ * (a nested run()'s new helper) starts from this mask instead of
+ * inheriting the worker's one CPU.
+ */
+inline thread_local const std::vector<unsigned> *slotEntryCpus = nullptr;
+
+/**
+ * One CPU per worker slot (DESIGN.md §16.5), applied by runSlot right
+ * after each onWorkerStart. `plan` is the runtime's planSlotCpus; an
+ * empty plan pins nothing. A scheduler that placed the thread itself
+ * in onWorkerStart wins: the pin happens only while the thread's mask
+ * is still the one it entered the slot with. A healed slot's thread is
+ * then still on its CPU, so it keeps it.
+ */
+class SlotPlacement
+{
+  public:
+    SlotPlacement(const std::vector<unsigned> &plan, unsigned tid)
+        : planned_(!plan.empty()), cpu_(planned_ ? plan[tid] : 0),
+          entry_(planned_ ? threadCpus() : std::vector<unsigned>()),
+          outer_(slotEntryCpus)
+    {}
+
+    ~SlotPlacement() { slotEntryCpus = outer_; }
+
+    SlotPlacement(const SlotPlacement &) = delete;
+    SlotPlacement &operator=(const SlotPlacement &) = delete;
+
+    void
+    apply()
+    {
+        if (planned_ && threadCpus() == entry_ && pinThreadToCpu(cpu_))
+            slotEntryCpus = &entry_;
+    }
+
+  private:
+    const bool planned_;
+    const unsigned cpu_;
+    const std::vector<unsigned> entry_;
+    const std::vector<unsigned> *const outer_;
+};
+
+/**
  * The one slot entry: a worker thread's whole stay in slot `tid`. It
- * announces the thread (onWorkerStart: topology-aware designs pin it)
- * and runs the loop. A superseded or crashed loop (anything thrown
- * counts) latches its exit and parks, holding no task, until the
- * monitor re-arms the slot; then the same thread announces itself
- * again and carries on. Returns when the loop ends, the runtime stops
- * or the slot is retired. Unsupervised, a throw propagates.
+ * announces the thread (onWorkerStart: topology-aware designs pin it),
+ * gives it its own CPU from the policy's `slotCpus()` plan unless the
+ * scheduler placed it (SlotPlacement), and runs the loop. A superseded
+ * or crashed loop (anything thrown counts) latches its exit and parks,
+ * holding no task, until the monitor re-arms the slot; then the same
+ * thread announces itself again and carries on. Returns when the loop
+ * ends, the runtime stops or the slot is retired. Unsupervised, a
+ * throw propagates. The thread's mask stays as placed: run() restores
+ * it, the service's threads keep it for good.
  */
 template <class Policy>
 void
 runSlot(Policy &policy, unsigned tid)
 {
     WorkerSupervisor *const supervisor = policy.supervisor();
+    SlotPlacement placement(policy.slotCpus(), tid);
     while (true) {
         policy.sched().onWorkerStart(tid);
+        placement.apply();
         if (supervisor == nullptr) {
             runWorker(policy, tid, 0);
             return;

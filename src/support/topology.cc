@@ -1,5 +1,6 @@
 #include "support/topology.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
@@ -204,8 +205,29 @@ Topology::pinThreadToNode(unsigned node) const
 {
     hdcps_check(node < nodes_.size(), "node %u out of range", node);
     const std::vector<unsigned> &cpus = nodes_[node].cpus;
-    if (cpus.empty())
-        return false; // synthetic/flat: routing only, no affinity
+    // Synthetic/flat nodes carry no CPU list: routing only, no affinity.
+    return !cpus.empty() && setThreadCpus(cpus);
+}
+
+std::vector<unsigned>
+threadCpus()
+{
+    std::vector<unsigned> cpus;
+#ifdef __linux__
+    cpu_set_t set;
+    if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
+        for (unsigned cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+            if (CPU_ISSET(cpu, &set))
+                cpus.push_back(cpu);
+        }
+    }
+#endif
+    return cpus;
+}
+
+bool
+setThreadCpus(const std::vector<unsigned> &cpus)
+{
 #ifdef __linux__
     cpu_set_t set;
     CPU_ZERO(&set);
@@ -216,12 +238,37 @@ Topology::pinThreadToNode(unsigned node) const
             any = true;
         }
     }
-    if (!any)
-        return false;
-    return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+    return any &&
+           pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
 #else
+    (void)cpus;
     return false;
 #endif
+}
+
+bool
+pinThreadToCpu(unsigned cpu)
+{
+    return setThreadCpus({cpu});
+}
+
+std::vector<unsigned>
+planSlotCpus(unsigned numSlots, unsigned skip)
+{
+    const std::vector<unsigned> cpus = threadCpus();
+    if (cpus.size() < 2 || numSlots > cpus.size())
+        return {};
+    size_t first = 0;
+#ifdef __linux__
+    const int here = sched_getcpu();
+    const auto it = std::find(cpus.begin(), cpus.end(), unsigned(here));
+    if (here >= 0 && it != cpus.end())
+        first = size_t(it - cpus.begin());
+#endif
+    std::vector<unsigned> plan(numSlots);
+    for (unsigned tid = 0; tid < numSlots; ++tid)
+        plan[tid] = cpus[(first + skip + tid) % cpus.size()];
+    return plan;
 }
 
 std::string

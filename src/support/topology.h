@@ -17,6 +17,12 @@
  *    the construction-time placement threads that first-touch its
  *    buffers — runs on the node its queues live on.
  *
+ * Next to it sit the per-thread primitives the runtimes place their
+ * worker slots with, one CPU per slot (DESIGN.md §16.5): read and set
+ * the calling thread's CPU mask (`threadCpus`, `setThreadCpus`), pin it
+ * to one CPU (`pinThreadToCpu`), and plan a CPU per slot from the
+ * starting thread's mask (`planSlotCpus`).
+ *
  * **Synthetic topologies.** `synthetic(nodes, coresPerNode)` (CLI spec
  * "NxM") describes a machine that need not exist: it partitions workers
  * into node groups and drives the hierarchical routing exactly like a
@@ -115,6 +121,35 @@ class Topology
     bool pinnable_ = false;
     bool synthetic_ = false;
 };
+
+/** The calling thread's CPU mask as ascending CPU ids; empty where
+ *  affinity is unsupported or the call fails. */
+std::vector<unsigned> threadCpus();
+
+/**
+ * Restrict the calling thread to `cpus` (CPU ids, as threadCpus
+ * returns them). Returns true on success; false — with no side effect
+ * — when no id is usable or the affinity call fails.
+ */
+bool setThreadCpus(const std::vector<unsigned> &cpus);
+
+/** Restrict the calling thread to the one CPU `cpu`: one worker per
+ *  core, as the paper's per-core scheduler assumes. Same contract as
+ *  setThreadCpus. */
+bool pinThreadToCpu(unsigned cpu);
+
+/**
+ * One CPU per worker slot for a runtime of `numSlots` slots that the
+ * calling thread starts: the CPUs of the caller's mask in ascending
+ * order, starting `skip` CPUs after the one the caller runs on and
+ * wrapping around, so slot `tid` gets element `tid`. run() passes 0
+ * (the caller is worker 0 and keeps its CPU); the service passes 1
+ * (its owner keeps a CPU to itself while the slots fit beside it).
+ * Empty — pin nothing — when the slots outnumber the mask's CPUs, when
+ * the mask holds one CPU (for instance inside a pinned worker), or
+ * where affinity is unsupported.
+ */
+std::vector<unsigned> planSlotCpus(unsigned numSlots, unsigned skip);
 
 } // namespace hdcps
 

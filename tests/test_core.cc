@@ -784,6 +784,30 @@ TEST(FaultDrill, HdCpsOverflowSiteForcesSpillPastTheSrq)
     }
 }
 
+TEST(FaultDrill, SpilledBagArrivesUnpacked)
+{
+    // A bag that spills is unpacked into the destination's overflow
+    // queue, task by task, and its envelope goes back to the pool.
+    HdCpsConfig config = HdCpsScheduler::configSrq();
+    config.bags.mode = BagMode::Always;
+    config.tdf = 100; // ship everything to worker 1
+    config.seed = 19;
+    HdCpsScheduler sched(2, config);
+    ScopedFaultInjection faults;
+    faults->arm(faultsite::HdcpsOverflowSpill, FaultMode::EveryNth, 1);
+    std::vector<Task> children;
+    for (uint32_t i = 0; i < 4; ++i)
+        children.push_back(Task{5, i, 0});
+    sched.pushBatch(0, children.data(), children.size());
+    ASSERT_EQ(sched.bagsCreated(), 1u);
+    EXPECT_EQ(sched.overflowPushes(), 1u);
+    std::set<uint32_t> seen;
+    Task t;
+    while (sched.tryPop(1, t))
+        EXPECT_TRUE(seen.insert(t.node).second) << "duplicate task";
+    EXPECT_EQ(seen.size(), children.size());
+}
+
 TEST(HdCpsScheduler, SizeApproxCountsTransferBuffers)
 {
     HdCpsConfig config = HdCpsScheduler::configSrq();

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -20,6 +21,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "core/hdcps.h"
 #include "cps/multiqueue.h"
@@ -452,6 +457,48 @@ TEST(Service, TransientFailuresRetryThenSucceed)
     ServiceStats stats = svc.stats();
     EXPECT_EQ(stats.taskRetries, expected); // one retry per task
     EXPECT_EQ(stats.completed, 1u);
+}
+
+/** A retry carries the next attempt: the failed incarnation and its
+ *  retry are distinct conservation-ledger keys. */
+TEST(Service, RetryCarriesTheNextAttempt)
+{
+    constexpr unsigned threads = 2;
+    MultiQueueScheduler inner(threads);
+    VerifyingScheduler verify(inner);
+    ServiceOptions options;
+    options.numThreads = threads;
+    ExecutorService svc(verify, options);
+
+    // Each task fails its first run, whatever attempt it carries, and
+    // records the attempt its second run sees.
+    std::mutex mutex;
+    std::set<uint32_t> failedOnce;
+    std::vector<uint32_t> retried;
+    JobSpec spec;
+    spec.name = "fails-once";
+    spec.process = [&](unsigned, const Task &task,
+                       std::vector<Task> &children) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (failedOnce.insert(task.node).second)
+                throw FaultInjectedError("transient");
+            retried.push_back(retryAttemptOf(task.attempt));
+        }
+        if (task.data > 0) {
+            children.push_back(
+                Task{task.priority + 1, task.node * 2, task.data - 1});
+            children.push_back(Task{task.priority + 1,
+                                    task.node * 2 + 1, task.data - 1});
+        }
+    };
+    spec.initial = {Task{0, 1, 3}};
+    spec.retry.maxAttempts = 3;
+    EXPECT_EQ(svc.submit(std::move(spec)).wait(), JobState::Completed);
+    svc.shutdown();
+    EXPECT_EQ(retried, std::vector<uint32_t>(treeSize(3, 2), 1u));
+    std::string why;
+    EXPECT_TRUE(verify.checkComplete(false, &why)) << why;
 }
 
 TEST(Service, RetriesExhaustedFailTheJob)
@@ -1492,6 +1539,161 @@ TEST(Service, HealKeepsTheSlotsThread)
     std::string why;
     EXPECT_TRUE(verify.checkComplete(false, &why)) << why;
 }
+
+#ifdef __linux__
+/** Every CPU mask each slot processed a task with, per slot. */
+class SlotMasks
+{
+  public:
+    explicit SlotMasks(unsigned threads) : masks_(threads) {}
+
+    /** Wrap `inner` so every task records its thread's mask. */
+    ProcessFn
+    recording(ProcessFn inner)
+    {
+        return [this, inner](unsigned tid, const Task &task,
+                             std::vector<Task> &children) {
+            std::vector<unsigned> mask = threadCpus();
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                masks_[tid].insert(std::move(mask));
+            }
+            inner(tid, task, children);
+        };
+    }
+
+    std::set<std::vector<unsigned>>
+    of(unsigned tid)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return masks_[tid];
+    }
+
+  private:
+    std::mutex mutex_;
+    std::vector<std::set<std::vector<unsigned>>> masks_;
+};
+
+/** Run one depth-9 tree job on `svc`; every slot processes some of
+ *  its tasks (cf. HealKeepsTheSlotsThread). */
+void
+runTreeJob(ExecutorService &svc, SlotMasks &masks)
+{
+    std::atomic<uint64_t> processed{0};
+    JobSpec spec;
+    spec.name = "tree";
+    spec.process = masks.recording(treeJob(processed));
+    spec.initial = {Task{0, 0, 9}};
+    EXPECT_EQ(svc.submit(std::move(spec)).wait(), JobState::Completed);
+    EXPECT_EQ(processed.load(), treeSize(9));
+}
+
+TEST(Service, EachWorkerRunsOnItsOwnCpu)
+{
+    const std::vector<unsigned> original = threadCpus();
+    constexpr unsigned threads = 3;
+    if (original.size() < threads + 1)
+        GTEST_SKIP() << "the owner's mask holds fewer than 4 CPUs";
+    // The slots start after the CPU the owner runs on at construction;
+    // the owner can migrate between this test's read and the plan's,
+    // so one of a few tries must see its CPU left free.
+    bool ownerCpuFree = false;
+    for (int attempt = 0; attempt < 5 && !ownerCpuFree; ++attempt) {
+        MultiQueueScheduler sched(threads);
+        ServiceOptions options;
+        options.numThreads = threads;
+        const int ownerCpu = sched_getcpu();
+        ExecutorService svc(sched, options);
+        SlotMasks masks(threads);
+        runTreeJob(svc, masks);
+        svc.shutdown();
+        std::set<unsigned> cpus;
+        ownerCpuFree = true;
+        for (unsigned tid = 0; tid < threads; ++tid) {
+            const std::set<std::vector<unsigned>> seen = masks.of(tid);
+            ASSERT_EQ(seen.size(), 1u) << "slot " << tid;
+            const std::vector<unsigned> &mask = *seen.begin();
+            ASSERT_EQ(mask.size(), 1u) << "slot " << tid
+                                       << " was not pinned";
+            EXPECT_NE(std::find(original.begin(), original.end(), mask[0]),
+                      original.end())
+                << "slot " << tid << " left the owner's mask";
+            cpus.insert(mask[0]);
+            ownerCpuFree = ownerCpuFree && mask[0] != unsigned(ownerCpu);
+        }
+        EXPECT_EQ(cpus.size(), threads) << "two slots share a CPU";
+        EXPECT_EQ(threadCpus(), original) << "the owner was pinned";
+    }
+    EXPECT_TRUE(ownerCpuFree) << "a slot always took the owner's CPU";
+}
+
+TEST(Service, TooFewCpusPinsNothing)
+{
+    const std::vector<unsigned> original = threadCpus();
+    if (original.size() < 2)
+        GTEST_SKIP() << "the process mask holds one CPU";
+    constexpr unsigned threads = 3;
+    const std::vector<unsigned> narrow(original.begin(),
+                                       original.begin() + 2);
+    ASSERT_TRUE(setThreadCpus(narrow));
+    MultiQueueScheduler sched(threads);
+    ServiceOptions options;
+    options.numThreads = threads;
+    ExecutorService svc(sched, options);
+    ASSERT_TRUE(setThreadCpus(original));
+    SlotMasks masks(threads);
+    runTreeJob(svc, masks);
+    svc.shutdown();
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        EXPECT_EQ(masks.of(tid), std::set<std::vector<unsigned>>{narrow})
+            << "slot " << tid << " was pinned or left the owner's mask";
+    }
+}
+
+/** A healed slot resumes on its own thread (HealKeepsTheSlotsThread),
+ *  and so on its own CPU. */
+TEST(Service, HealedSlotKeepsItsCpu)
+{
+    constexpr unsigned threads = 3;
+    if (threadCpus().size() < threads)
+        GTEST_SKIP() << "the owner's mask holds fewer than 3 CPUs";
+    MultiQueueScheduler inner(threads);
+    VerifyingScheduler verify(inner);
+    FaultRegistry deaths(29);
+    deaths.arm(faultsite::SvcWorkerDie, FaultMode::OneShot, 1);
+
+    ServiceOptions options;
+    options.numThreads = threads;
+    options.supervisor.enabled = true;
+    options.supervisor.probeIntervalMs = 1;
+    options.supervisor.suspectAfterMs = 500;
+    options.supervisor.wedgedAfterMs = 2000;
+    options.supervisor.maxRestarts = 4;
+    ExecutorService svc(verify, options);
+
+    SlotMasks before(threads);
+    runTreeJob(svc, before);
+    FaultRegistry::install(&deaths);
+    for (int ms = 0; ms < 10000 && svc.stats().workerRestarts < 1; ++ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    FaultRegistry::install(nullptr);
+    ASSERT_EQ(svc.stats().workerRestarts, 1u);
+    SlotMasks after(threads);
+    runTreeJob(svc, after);
+    svc.shutdown();
+
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        const std::set<std::vector<unsigned>> mask = before.of(tid);
+        ASSERT_EQ(mask.size(), 1u) << "slot " << tid;
+        EXPECT_EQ(mask.begin()->size(), 1u)
+            << "slot " << tid << " was not pinned";
+        EXPECT_EQ(after.of(tid), mask)
+            << "slot " << tid << " left its CPU after the heal";
+    }
+    std::string why;
+    EXPECT_TRUE(verify.checkComplete(false, &why)) << why;
+}
+#endif
 
 /** Threads in this process right now, or 0 where that is unknown. */
 unsigned

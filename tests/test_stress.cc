@@ -19,6 +19,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -45,6 +46,7 @@
 #include "support/rng.h"
 #include "support/straggler.h"
 #include "support/timer.h"
+#include "support/topology.h"
 
 namespace hdcps {
 namespace {
@@ -1010,6 +1012,172 @@ TEST(ResidentHelpers, ForkedChildStartsWithAnEmptyPool)
     }
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "the forked child's run() failed";
+}
+#endif
+
+#ifdef __linux__
+/** Seeds in run()'s 16-task chunks, one chunk per worker: HD-CPS has
+ *  no stealing, so every worker processes tasks of its own. */
+std::vector<Task>
+chunkPerWorker(unsigned threads)
+{
+    std::vector<Task> seeds;
+    for (uint32_t node = 0; node < 16 * threads; ++node)
+        seeds.push_back(Task{0, node, 0});
+    return seeds;
+}
+
+/** The CPU mask each worker of one run() processed its first task
+ *  with (taken after runSlot placed the thread). */
+std::vector<std::vector<unsigned>>
+workerMasks(Scheduler &sched, unsigned threads)
+{
+    std::vector<std::vector<unsigned>> masks(threads);
+    std::mutex masksMutex;
+    ProcessFn recording = [&](unsigned tid, const Task &,
+                              std::vector<Task> &) {
+        std::lock_guard<std::mutex> lock(masksMutex);
+        if (masks[tid].empty())
+            masks[tid] = threadCpus();
+    };
+    RunOptions options;
+    options.numThreads = threads;
+    EXPECT_TRUE(
+        run(sched, chunkPerWorker(threads), recording, options).ok());
+    return masks;
+}
+
+bool
+contains(const std::vector<unsigned> &cpus, unsigned cpu)
+{
+    return std::find(cpus.begin(), cpus.end(), cpu) != cpus.end();
+}
+
+TEST(ResidentHelpers, EachWorkerRunsOnItsOwnCpu)
+{
+    const std::vector<unsigned> original = threadCpus();
+    constexpr unsigned threads = 3;
+    if (original.size() < threads)
+        GTEST_SKIP() << "the caller's mask holds fewer than 3 CPUs";
+    // Worker 0 keeps the CPU the caller runs on when run() plans; the
+    // caller can migrate between this test's read and run()'s, so one
+    // of a few tries must see it.
+    bool onCallersCpu = false;
+    for (int attempt = 0; attempt < 5 && !onCallersCpu; ++attempt) {
+        HdCpsScheduler sched(threads, HdCpsScheduler::configSw());
+        const int callerCpu = sched_getcpu();
+        std::vector<std::vector<unsigned>> masks =
+            workerMasks(sched, threads);
+        std::set<unsigned> cpus;
+        for (unsigned tid = 0; tid < threads; ++tid) {
+            ASSERT_EQ(masks[tid].size(), 1u)
+                << "worker " << tid << " was not pinned";
+            EXPECT_TRUE(contains(original, masks[tid][0]))
+                << "worker " << tid << " left the caller's mask";
+            cpus.insert(masks[tid][0]);
+        }
+        EXPECT_EQ(cpus.size(), threads) << "two workers share a CPU";
+        onCallersCpu = masks[0][0] == unsigned(callerCpu);
+        EXPECT_EQ(threadCpus(), original) << "the caller left run() pinned";
+    }
+    EXPECT_TRUE(onCallersCpu) << "worker 0 never ran on the caller's CPU";
+}
+
+TEST(ResidentHelpers, TooFewCpusPinsNothing)
+{
+    const std::vector<unsigned> original = threadCpus();
+    if (original.size() < 2)
+        GTEST_SKIP() << "the process mask holds one CPU";
+    constexpr unsigned threads = 3;
+    // Idle helpers first, so none is spawned from the narrowed caller.
+    verifiedSolve(threads, 101);
+    const std::vector<unsigned> narrow(original.begin(),
+                                       original.begin() + 2);
+    ASSERT_TRUE(setThreadCpus(narrow));
+    HdCpsScheduler sched(threads, HdCpsScheduler::configSw());
+    std::vector<std::vector<unsigned>> masks = workerMasks(sched, threads);
+    const std::vector<unsigned> after = threadCpus();
+    ASSERT_TRUE(setThreadCpus(original));
+    EXPECT_EQ(after, narrow) << "the caller left run() with another mask";
+    EXPECT_EQ(masks[0], narrow) << "worker 0 left the caller's mask";
+    for (unsigned tid = 1; tid < threads; ++tid) {
+        EXPECT_GT(masks[tid].size(), 1u)
+            << "worker " << tid << " was pinned with 3 slots on 2 CPUs";
+        for (unsigned cpu : masks[tid]) {
+            EXPECT_TRUE(contains(original, cpu))
+                << "worker " << tid << " left the process mask";
+        }
+    }
+}
+
+TEST(ResidentHelpers, SchedulersPinWins)
+{
+    const std::vector<unsigned> original = threadCpus();
+    constexpr unsigned threads = 3;
+    if (original.size() < threads)
+        GTEST_SKIP() << "the caller's mask holds fewer than 3 CPUs";
+    const unsigned cpu = original.back();
+    HdCpsScheduler sched(threads, HdCpsScheduler::configSw());
+    PinningScheduler pinning(sched, cpu);
+    std::vector<std::vector<unsigned>> masks =
+        workerMasks(pinning, threads);
+    ASSERT_EQ(pinning.pinned.load(), threads)
+        << "this host refuses to pin threads";
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        EXPECT_EQ(masks[tid], std::vector<unsigned>{cpu})
+            << "run() moved worker " << tid << " off the scheduler's pin";
+    }
+    EXPECT_EQ(threadCpus(), original) << "the caller left run() pinned";
+}
+
+TEST(ResidentHelpers, NestedRunInAPinnedWorkerPinsNothing)
+{
+    const std::vector<unsigned> original = threadCpus();
+    if (original.size() < 2)
+        GTEST_SKIP() << "the process mask holds one CPU";
+    constexpr unsigned threads = 2;
+    // More inner helpers than the earlier tests left idle, so some are
+    // spawned by the pinned outer workers and must not inherit their
+    // CPU.
+    constexpr unsigned innerThreads = 8;
+    std::mutex masksMutex;
+    std::vector<std::vector<unsigned>> outerMasks(threads);
+    std::vector<std::vector<unsigned>> innerHelperMasks;
+    unsigned innerOk = 0;
+    // One nested run per outer worker: the first task of each chunk.
+    ProcessFn nesting = [&](unsigned tid, const Task &task,
+                            std::vector<Task> &) {
+        if (task.node % 16 != 0)
+            return;
+        {
+            std::lock_guard<std::mutex> lock(masksMutex);
+            outerMasks[tid] = threadCpus();
+        }
+        HdCpsScheduler inner(innerThreads, HdCpsScheduler::configSw());
+        std::vector<std::vector<unsigned>> masks =
+            workerMasks(inner, innerThreads);
+        std::lock_guard<std::mutex> lock(masksMutex);
+        innerHelperMasks.insert(innerHelperMasks.end(), masks.begin() + 1,
+                                masks.end());
+        innerOk += masks[0] == outerMasks[tid];
+    };
+    HdCpsScheduler outer(threads, HdCpsScheduler::configSw());
+    RunOptions options;
+    options.numThreads = threads;
+    ASSERT_TRUE(
+        run(outer, chunkPerWorker(threads), nesting, options).ok());
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        EXPECT_EQ(outerMasks[tid].size(), 1u)
+            << "outer worker " << tid << " was not pinned";
+    }
+    EXPECT_EQ(innerOk, threads)
+        << "a nested run moved its caller off the outer worker's CPU";
+    ASSERT_EQ(innerHelperMasks.size(), size_t(threads) * (innerThreads - 1));
+    for (const std::vector<unsigned> &mask : innerHelperMasks) {
+        EXPECT_EQ(mask, original)
+            << "a nested run's helper ran pinned";
+    }
+    EXPECT_EQ(threadCpus(), original) << "the caller left run() pinned";
 }
 #endif
 

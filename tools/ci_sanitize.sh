@@ -152,13 +152,34 @@ service_chaos() {
 # armed job-fault drill. Rejections are expected (capacity 4 under
 # bursts of 8); anything but exit 0 — a lost task, an unverified
 # completed job, a job failed by something other than its deadline —
-# fails the stage.
+# fails the stage. Arguments after the build directory prefix the
+# command (the placement stage passes a taskset).
 service_stream_smoke() {
     local builddir=$1
-    "$builddir"/tools/hdcps_cli --kernel bfs --input cage \
+    shift
+    "$@" "$builddir"/tools/hdcps_cli --kernel bfs --input cage \
         --design multiqueue --job-stream 24 --arrivals burst \
         --burst 8 --rate 400 --threads 4 --admit-cap 4 \
         --job-retries 4 --csv --fault-spec 'svc.job.fail:nth:97'
+}
+
+# Placement: both runtimes give each worker slot its own CPU of the
+# starting thread's mask (DESIGN.md §16.5). Under `taskset -c 0` the
+# mask holds one CPU, so nothing pins: the placement tests skip and
+# everything else must pass. Under `taskset -c 0,1` a 3-slot runtime
+# outnumbers the CPUs and pins nothing, and the tests check that no
+# worker leaves the mask. The job-stream smoke then drives the service
+# end to end under both masks.
+placement() {
+    local builddir=$1 cpus
+    for cpus in 0 0,1; do
+        echo "--- taskset -c $cpus"
+        taskset -c "$cpus" "$builddir"/tests/test_stress \
+            --gtest_filter='ResidentHelpers.*'
+        taskset -c "$cpus" "$builddir"/tests/test_service \
+            --gtest_filter='Service.*Cpu*:Service.HealKeepsTheSlotsThread'
+        service_stream_smoke "$builddir" taskset -c "$cpus"
+    done
 }
 
 # Bench smoke + perf self-gate: run the perf-gate microbenchmarks
@@ -239,6 +260,8 @@ for preset in "${presets[@]}"; do
     service_chaos "$builddir"
     echo "=== [$preset] job-stream smoke ==="
     service_stream_smoke "$builddir"
+    echo "=== [$preset] placement ==="
+    placement "$builddir"
     echo "=== [$preset] bench smoke ==="
     bench_smoke "$builddir"
     echo "=== [$preset] OK ==="

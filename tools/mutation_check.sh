@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Prove that the tests guarding the runtime's termination and recovery
-# protocols, and HD-CPS's exact local-PQ order, still bite.
+# Prove that the tests guarding the runtime's termination, recovery and
+# placement protocols, HD-CPS's overflow spill and exact local-PQ
+# order, and the service's retry incarnations still bite.
 #
 # Usage: tools/mutation_check.sh [rev]
 #   rev: the commit to check (default HEAD). To check uncommitted work,
@@ -211,6 +212,39 @@ check local-pq-child-pick default test_pq \
     src/core/local_pq.h \
 '                best = keys[b] < keys[a] ? b : a;' \
 '                best = keys[b] < keys[a] ? a : b;'
+
+# A scheduler that placed the thread in onWorkerStart wins over the
+# slot's own CPU; pinned regardless, runSlot would undo a
+# topology-aware design's node pin.
+check placement-scheduler-pin-wins default test_stress \
+    'ResidentHelpers.SchedulersPinWins' \
+    src/runtime/worker_common.h \
+'        if (planned_ && threadCpus() == entry_ && pinThreadToCpu(cpu_))' \
+'        if (planned_ && pinThreadToCpu(cpu_))'
+
+# HD-CPS spills a remote send that finds the destination's sRQ full
+# into its overflow queue; a dropped single or a bag released without
+# unpacking loses tasks.
+check srq-overflow-spill default test_core \
+    'HdCpsScheduler.OverflowPathStillDelivers:FaultDrill.HdCpsExactlyOnceWhenEveryRemotePushSpills' \
+    src/core/hdcps.cc \
+'        workers_[dest]->overflow.push(envelope.task);' \
+'        (void)dest;'
+check srq-overflow-spill-bag default test_core \
+    'FaultDrill.SpilledBagArrivesUnpacked' \
+    src/core/hdcps.cc \
+'        for (const Task &t : envelope.bag->tasks)
+            workers_[dest]->overflow.push(t);' \
+''
+
+# A service retry re-pushes the failed task with the next attempt, a
+# distinct conservation-ledger key; with the old attempt the retried
+# incarnation is indistinguishable from the one that failed.
+check retry-incarnation default test_service \
+    'Service.RetryCarriesTheNextAttempt' \
+    src/runtime/executor_service.cc \
+'            packAttempt(tries + 1, demoteStampOf(task.attempt));' \
+'            packAttempt(tries, demoteStampOf(task.attempt));'
 
 echo "mutation check: $killed killed, $failed not killed"
 [ "$failed" -eq 0 ]
